@@ -166,4 +166,21 @@ TEST(Rng, SplitIsDeterministic) {
     }
 }
 
+// Known-answer words of the generator, so a change to the xoshiro256**
+// step, the SplitMix64 seeding, the 53-bit uniform() scaling or split()
+// cannot pass unnoticed.
+TEST(Rng, KnownAnswerWords) {
+    Rng a{1};
+    EXPECT_EQ(a.next_u64(), 0xB3F2AF6D0FC710C5ULL);
+    EXPECT_EQ(a.next_u64(), 0x853B559647364CEAULL);
+    EXPECT_EQ(a.uniform(), 0x1.25f12eac10548p-1);
+    Rng b{2026};
+    EXPECT_EQ(b.next_u64(), 0x92E011592E98AE15ULL);
+    EXPECT_EQ(b.next_u64(), 0x489F37946D6D18D8ULL);
+    EXPECT_EQ(b.uniform(), 0x1.a0013c4f3b39bp-1);
+    Rng child = b.split(3);
+    EXPECT_EQ(child.next_u64(), 0xCECAEFED14081FD9ULL);
+    EXPECT_EQ(child.uniform(), 0x1.e4ee1f9ac150bp-1);
+}
+
 }  // namespace
