@@ -9,6 +9,7 @@
 // byte-identical across shard counts (pinned by test_engine).
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
@@ -148,6 +149,14 @@ struct EngineConfig {
         if (churn.enabled && churn.min_lifetime_windows == 0) {
             throw std::invalid_argument(
                 "EngineConfig: churn.min_lifetime_windows must be >= 1");
+        }
+        // The churn draws are Bernoulli loops with success probability
+        // 1 / (1 + mean): an infinite mean would never terminate.
+        const auto mean_ok = [](double m) { return m >= 0.0 && std::isfinite(m); };
+        if (churn.enabled && (!mean_ok(churn.mean_lifetime_windows) ||
+                              !mean_ok(churn.mean_arrival_gap_windows))) {
+            throw std::invalid_argument(
+                "EngineConfig: churn means must be finite and >= 0");
         }
         if (fec.enabled && (fec.overhead_num == 0 || fec.overhead_den == 0)) {
             throw std::invalid_argument(

@@ -34,6 +34,11 @@ void set_bits(std::uint64_t* w, std::size_t lo, std::size_t hi) noexcept {
     w[whi] |= mhi;
 }
 
+const EngineConfig& validated(const EngineConfig& cfg) {
+    cfg.validate();
+    return cfg;
+}
+
 std::uint32_t clamp_u32(std::uint64_t v) noexcept {
     constexpr std::uint64_t kMax = std::numeric_limits<std::uint32_t>::max();
     return static_cast<std::uint32_t>(v < kMax ? v : kMax);
@@ -75,8 +80,10 @@ void record_loss_runs(const std::uint64_t* w, std::size_t words,
 
 }  // namespace
 
-SessionPool::SessionPool(const EngineConfig& cfg) : cfg_(cfg) {
-    cfg_.validate();
+SessionPool::SessionPool(const EngineConfig& cfg)
+    : cfg_(validated(cfg)),
+      data_model_(cfg_.data_loss),
+      feedback_model_(cfg_.feedback_loss) {
     capacity_ = cfg_.sessions;
     n_ = cfg_.window_ldus;
     f_ = cfg_.packets_per_ldu;
@@ -131,14 +138,7 @@ SessionPool::SessionPool(const EngineConfig& cfg) : cfg_(cfg) {
         tot_transitions_.assign(capacity_, 0);
     }
 
-    // spawn() assigns into the chain slots, so generation 0 first fills
-    // the vectors with placeholder chains (replaced immediately).
-    for (std::size_t slot = 0; slot < capacity_; ++slot) {
-        sim::Rng placeholder(0);
-        data_chain_.emplace_back(cfg_.data_loss, placeholder);
-        feedback_chain_.emplace_back(cfg_.feedback_loss, placeholder);
-        spawn(slot);
-    }
+    for (std::size_t slot = 0; slot < capacity_; ++slot) spawn(slot);
 }
 
 std::pair<std::uint32_t, std::uint32_t> SessionPool::churn_draw(
@@ -167,12 +167,16 @@ void SessionPool::spawn(std::size_t slot) {
             static_cast<std::uint64_t>(capacity_) +
         static_cast<std::uint64_t>(slot);
     sim::Rng root(sim::derive_seed(cfg_.seed, id));
-    data_chain_[slot] =
-        net::GilbertLoss(cfg_.data_loss,
-                         root.split(contracts::kEngineLaneDataChain));
-    feedback_chain_[slot] =
-        net::GilbertLoss(cfg_.feedback_loss,
-                         root.split(contracts::kEngineLaneFeedbackChain));
+    const net::GilbertChain data(root.split(contracts::kEngineLaneDataChain));
+    const net::GilbertChain feedback(
+        root.split(contracts::kEngineLaneFeedbackChain));
+    if (slot < data_chain_.size()) {
+        data_chain_[slot] = data;
+        feedback_chain_[slot] = feedback;
+    } else {  // generation 0, appended in slot order (capacity reserved)
+        data_chain_.push_back(data);
+        feedback_chain_.push_back(feedback);
+    }
     estimate_[slot] = static_cast<double>(n_) / 2.0;
     windows_run_[slot] = 0;
     const std::size_t D = cfg_.feedback_delay_windows;
@@ -219,6 +223,8 @@ void SessionPool::run_window_range(std::size_t begin, std::size_t end,
     std::uint64_t* tx = s.tx_words.data();
     std::uint64_t* pb = s.pb_words.data();
     obs::telemetry::TelemetrySlab* const tel = s.telemetry;
+    const net::GilbertModel& data_model = data_model_;
+    const net::GilbertModel& feedback_model = feedback_model_;
     for (std::size_t slot = begin; slot < end; ++slot) {
         if (idle_left_[slot] > 0) {
             // Churn gap: the slot carries no session this window.  The
@@ -266,13 +272,13 @@ void SessionPool::run_window_range(std::size_t begin, std::size_t end,
         // 2. Channel: batched Gilbert runs -> lost-LDU bit ranges in
         //    transmission order (an LDU is lost if any of its packets is).
         std::fill_n(tx, words_, std::uint64_t{0});
-        net::GilbertLoss& chain = data_chain_[slot];
+        net::GilbertChain& chain = data_chain_[slot];
         std::size_t pkt = 0;
         std::size_t lost_pkts = 0;
         bool any_loss = false;
         while (pkt < packets) {
-            const net::GilbertLoss::Run run =
-                chain.next_run(static_cast<std::uint64_t>(packets - pkt));
+            const net::GilbertRun run = chain.next_run(
+                data_model, static_cast<std::uint64_t>(packets - pkt));
             const std::size_t len = static_cast<std::size_t>(run.length);
             if (run.lost) {
                 any_loss = true;
@@ -304,7 +310,7 @@ void SessionPool::run_window_range(std::size_t begin, std::size_t end,
                              fec_repairs_per_window_);
                 nack_credit_[slot] = static_cast<std::uint32_t>(bank + add);
                 tot_nack_expired_[slot] += fec_repairs_per_window_ - add;
-                nack_fb_lost = feedback_chain_[slot].drop_next();
+                nack_fb_lost = feedback_chain_[slot].drop_next(feedback_model);
                 if (any_loss) {
                     ++tot_nack_sent_[slot];
                     if (nack_fb_lost) {
@@ -325,7 +331,8 @@ void SessionPool::run_window_range(std::size_t begin, std::size_t end,
             }
             std::size_t rp = 0;
             while (rp < fec_repairs_this_window) {
-                const net::GilbertLoss::Run run = chain.next_run(
+                const net::GilbertRun run = chain.next_run(
+                    data_model,
                     static_cast<std::uint64_t>(fec_repairs_this_window - rp));
                 const std::size_t len = static_cast<std::size_t>(run.length);
                 if (!run.lost) fec_survived += len;
@@ -363,7 +370,8 @@ void SessionPool::run_window_range(std::size_t begin, std::size_t end,
         //    share the window's feedback packet); reusing it keeps the
         //    chain at one draw per window in every mode.
         const bool ack_lost =
-            nack_reactive ? nack_fb_lost : feedback_chain_[slot].drop_next();
+            nack_reactive ? nack_fb_lost
+                          : feedback_chain_[slot].drop_next(feedback_model);
         if (nack_on) nack_wd_[slot] = ack_lost ? nack_wd_[slot] + 1 : 0;
         if (ack_lost) {
             ++tot_acks_lost_[slot];

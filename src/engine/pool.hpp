@@ -126,8 +126,9 @@ public:
 
 private:
     /// (Re)initializes slot state for session id
-    /// generation_[slot] * capacity + slot.  Pre-validated params: no
-    /// throw path in practice.
+    /// generation_[slot] * capacity + slot: re-seeds the slot's chains
+    /// (generation 0, spawned in slot order by the constructor, appends
+    /// them) and resets its window state.
     void spawn(std::size_t slot);
 
     EngineConfig cfg_;
@@ -140,9 +141,14 @@ private:
     /// unused); built once so the hot path never recomputes an order.
     std::vector<Permutation> perms_;
 
+    /// One immutable loss model per direction, shared by every slot's
+    /// chain (validated params plus the dwell tables).
+    net::GilbertModel data_model_;
+    net::GilbertModel feedback_model_;
+
     // Hot per-slot state (SoA).
-    std::vector<net::GilbertLoss> data_chain_;
-    std::vector<net::GilbertLoss> feedback_chain_;
+    std::vector<net::GilbertChain> data_chain_;      ///< 48 B per slot
+    std::vector<net::GilbertChain> feedback_chain_;  ///< 48 B per slot
     std::vector<double> estimate_;         ///< Eq. 1 EWMA, prior n/2
     std::vector<std::uint32_t> pending_;   ///< feedback ring, kNoObs = empty
     std::vector<std::uint32_t> windows_run_;

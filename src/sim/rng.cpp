@@ -14,32 +14,11 @@ std::uint64_t splitmix64(std::uint64_t& x) noexcept {
     return z ^ (z >> 31);
 }
 
-constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-    return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) noexcept {
     std::uint64_t s = seed;
     for (auto& w : state_) w = splitmix64(s);
-}
-
-std::uint64_t Rng::next_u64() noexcept {
-    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-    const std::uint64_t t = state_[1] << 17;
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
-    return result;
-}
-
-double Rng::uniform() noexcept {
-    // Top 53 bits scaled into [0, 1).
-    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
 }
 
 double Rng::uniform(double lo, double hi) noexcept {
@@ -99,7 +78,7 @@ std::uint64_t derive_seed(std::uint64_t base, std::uint64_t index) noexcept {
 Rng Rng::split(std::uint64_t stream_id) noexcept {
     // Mix the current state with the stream id through SplitMix64 to derive
     // a decorrelated child seed.
-    std::uint64_t s = state_[0] ^ rotl(state_[2], 29) ^ (stream_id * 0xD1342543DE82EF95ULL);
+    std::uint64_t s = state_[0] ^ std::rotl(state_[2], 29) ^ (stream_id * 0xD1342543DE82EF95ULL);
     return Rng{splitmix64(s)};
 }
 
