@@ -32,8 +32,9 @@ void BurstEstimator::update(std::size_t observed_max_burst) {
 std::size_t BurstEstimator::guarded_update(std::size_t observed_max_burst,
                                            std::size_t max_step) {
     const std::size_t b = bound();
+    // b <= window_, so neither side can wrap, however large max_step is.
     const std::size_t lo = b > max_step ? b - max_step : 0;
-    const std::size_t hi = b + max_step;  // update() re-clamps to the window
+    const std::size_t hi = window_ - b > max_step ? b + max_step : window_;
     const std::size_t guarded =
         std::clamp(std::min(observed_max_burst, window_), lo, hi);
     // The estimate moves between its old value and the guarded observation,

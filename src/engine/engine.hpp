@@ -4,9 +4,9 @@
 // step() runs each range on its own worker (or inline when there is only
 // one shard, which keeps the single-shard hot path free of even the task
 // dispatch's allocations).  Because each slot's randomness is keyed by
-// (seed, session id) and all accumulators merge in slot order, a run's
-// summary is byte-identical for any shard count — sharding buys
-// wall-clock only, never different numbers.
+// (seed, session id) and every total is an integer sum folded in shard
+// order, a run's summary is byte-identical for any shard count —
+// sharding buys wall-clock only, never different numbers.
 #pragma once
 
 #include <cstddef>

@@ -44,7 +44,7 @@ inline const char* governor_lite_state_name(std::uint8_t state) noexcept {
     }
 }
 
-/// Per-session supervision state (16 bytes; one per pool slot).
+/// Per-session supervision state (20 bytes; one per pool slot).
 struct GovernorLiteState {
     std::uint8_t state = kGovNormal;
     std::uint32_t misses = 0;     ///< consecutive misses in Normal/Degraded
@@ -126,7 +126,7 @@ inline GovernorLiteOutcome governor_lite_step(GovernorLiteState& g,
     std::size_t bound = raw;
     if (g.state == kGovRecovering) {
         const std::size_t prev = g.published;
-        if (raw > prev + cfg.max_step) {
+        if (raw > prev && raw - prev > cfg.max_step) {
             bound = prev + cfg.max_step;
         } else if (prev > raw && prev - raw > cfg.max_step) {
             bound = prev - cfg.max_step;

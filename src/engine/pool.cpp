@@ -106,37 +106,16 @@ SessionPool::SessionPool(const EngineConfig& cfg)
     idle_left_.assign(capacity_, 0);
     gap_next_.assign(capacity_, 0);
     generation_.assign(capacity_, 0);
-    tot_windows_.assign(capacity_, 0);
-    tot_clf_.assign(capacity_, 0);
-    tot_clf_sq_.assign(capacity_, 0);
-    tot_losses_.assign(capacity_, 0);
-    tot_acks_ok_.assign(capacity_, 0);
-    tot_acks_lost_.assign(capacity_, 0);
-    tot_spawned_.assign(capacity_, 0);
-    tot_completed_.assign(capacity_, 0);
-    max_clf_.assign(capacity_, 0);
     if (cfg_.fec.enabled) {
         const std::size_t packets = n_ * f_;
         fec_repairs_per_window_ =
             packets * cfg_.fec.overhead_num / cfg_.fec.overhead_den;
-        tot_fec_repairs_.assign(capacity_, 0);
-        tot_fec_recovered_.assign(capacity_, 0);
-        tot_fec_unrecovered_.assign(capacity_, 0);
         if (cfg_.fec.nack) {
             nack_credit_.assign(capacity_, 0);
             nack_wd_.assign(capacity_, 0);
-            tot_nack_sent_.assign(capacity_, 0);
-            tot_nack_lost_.assign(capacity_, 0);
-            tot_nack_repairs_.assign(capacity_, 0);
-            tot_nack_expired_.assign(capacity_, 0);
-            tot_nack_proactive_.assign(capacity_, 0);
         }
     }
-    if (cfg_.governor.enabled) {
-        gov_.assign(capacity_, GovernorLiteState{});
-        tot_state_windows_.assign(capacity_ * 4, 0);
-        tot_transitions_.assign(capacity_, 0);
-    }
+    if (cfg_.governor.enabled) gov_.assign(capacity_, GovernorLiteState{});
 
     for (std::size_t slot = 0; slot < capacity_; ++slot) spawn(slot);
 }
@@ -202,7 +181,6 @@ void SessionPool::spawn(std::size_t slot) {
         nack_credit_[slot] = 0;
         nack_wd_[slot] = 0;
     }
-    ++tot_spawned_[slot];
 }
 
 void SessionPool::init_scratch(ShardScratch& s) const {
@@ -210,7 +188,7 @@ void SessionPool::init_scratch(ShardScratch& s) const {
     s.pb_words.assign(words_, 0);
     s.clf_hist.assign(n_ + 1, 0);
     s.bound_hist.assign(n_ + 1, 0);
-    s.idle_windows = 0;
+    s.counters = ShardCounters{};
 }
 
 void SessionPool::run_window_range(std::size_t begin, std::size_t end,
@@ -225,15 +203,17 @@ void SessionPool::run_window_range(std::size_t begin, std::size_t end,
     obs::telemetry::TelemetrySlab* const tel = s.telemetry;
     const net::GilbertModel& data_model = data_model_;
     const net::GilbertModel& feedback_model = feedback_model_;
+    ShardCounters c = s.counters;  // written back once, after the range
     for (std::size_t slot = begin; slot < end; ++slot) {
         if (idle_left_[slot] > 0) {
             // Churn gap: the slot carries no session this window.  The
             // arriving session's first window runs on the next step.
-            ++s.idle_windows;
+            ++c.idle_windows;
             if (tel != nullptr) tel->observe_idle();
             if (--idle_left_[slot] == 0) {
                 ++generation_[slot];
                 spawn(slot);
+                ++c.sessions_spawned;
                 if (tel != nullptr) tel->observe_spawn();
             }
             continue;
@@ -260,9 +240,8 @@ void SessionPool::run_window_range(std::size_t begin, std::size_t end,
                 fed, estimate_[slot], n_);
             bound = o.bound;
             gov_state = gov_[slot].state;
-            ++tot_state_windows_[slot * 4 + gov_state];
             if (o.transitioned) {
-                ++tot_transitions_[slot];
+                ++c.governor_transitions;
                 if (tel != nullptr) tel->observe_governor_exit(o.exit_dwell);
             }
         } else {
@@ -309,25 +288,25 @@ void SessionPool::run_window_range(std::size_t begin, std::size_t end,
                     std::min(cap - std::min(cap, bank),
                              fec_repairs_per_window_);
                 nack_credit_[slot] = static_cast<std::uint32_t>(bank + add);
-                tot_nack_expired_[slot] += fec_repairs_per_window_ - add;
+                c.nack_credits_expired += fec_repairs_per_window_ - add;
                 nack_fb_lost = feedback_chain_[slot].drop_next(feedback_model);
                 if (any_loss) {
-                    ++tot_nack_sent_[slot];
+                    ++c.nack_requests_sent;
                     if (nack_fb_lost) {
-                        ++tot_nack_lost_[slot];
+                        ++c.nack_requests_lost;
                     } else {
                         fec_repairs_this_window = std::min<std::size_t>(
                             nack_credit_[slot], lost_pkts);
                         nack_credit_[slot] -= static_cast<std::uint32_t>(
                             fec_repairs_this_window);
-                        tot_nack_repairs_[slot] += fec_repairs_this_window;
+                        c.nack_repair_packets += fec_repairs_this_window;
                     }
                 }
             } else {
                 // Plain FEC-lite, or the NACK watchdog fired: fixed
                 // proactive schedule (graceful degradation).
                 fec_repairs_this_window = fec_repairs_per_window_;
-                if (nack_on) ++tot_nack_proactive_[slot];
+                if (nack_on) ++c.nack_windows_proactive;
             }
             std::size_t rp = 0;
             while (rp < fec_repairs_this_window) {
@@ -374,29 +353,26 @@ void SessionPool::run_window_range(std::size_t begin, std::size_t end,
                           : feedback_chain_[slot].drop_next(feedback_model);
         if (nack_on) nack_wd_[slot] = ack_lost ? nack_wd_[slot] + 1 : 0;
         if (ack_lost) {
-            ++tot_acks_lost_[slot];
+            ++c.acks_lost;
         } else {
             pending_[slot * D + (w % D)] = static_cast<std::uint32_t>(obs);
-            ++tot_acks_ok_[slot];
+            ++c.acks_delivered;
         }
         if (tel != nullptr) tel->observe_ack(!ack_lost);
 
-        // 5. Integer accumulators (grouping-independent merge).
-        ++tot_windows_[slot];
-        tot_clf_[slot] += clf;
-        tot_clf_sq_[slot] +=
-            static_cast<std::uint64_t>(clf) * static_cast<std::uint64_t>(clf);
-        tot_losses_[slot] += losses;
-        if (clf > max_clf_[slot]) max_clf_[slot] = static_cast<std::uint32_t>(clf);
+        // 5. Integer accumulators (grouping-independent merge); the CLF
+        //    histogram alone carries windows and the CLF moments.
+        c.unit_losses += losses;
+        ++c.governor_windows[gov_state];
         ++s.clf_hist[clf];
         ++s.bound_hist[bound];
         if (fec_on) {
-            tot_fec_repairs_[slot] += fec_repairs_this_window;
+            c.fec_repair_packets += fec_repairs_this_window;
             if (any_loss) {
                 if (recovered) {
-                    ++tot_fec_recovered_[slot];
+                    ++c.fec_windows_recovered;
                 } else {
-                    ++tot_fec_unrecovered_[slot];
+                    ++c.fec_windows_unrecovered;
                 }
             }
         }
@@ -413,81 +389,51 @@ void SessionPool::run_window_range(std::size_t begin, std::size_t end,
         // 6. Churn: departure, then either an idle gap or an immediate
         //    respawn with a fresh RNG stream (new session id).
         if (lifetime_left_[slot] > 0 && --lifetime_left_[slot] == 0) {
-            ++tot_completed_[slot];
+            ++c.sessions_completed;
             if (tel != nullptr) tel->observe_complete();
             if (gap_next_[slot] > 0) {
                 idle_left_[slot] = gap_next_[slot];
             } else {
                 ++generation_[slot];
                 spawn(slot);
+                ++c.sessions_spawned;
                 if (tel != nullptr) tel->observe_spawn();
             }
         }
     }
+    s.counters = c;
 }
 
 EngineSummary SessionPool::summarize(
     const std::vector<ShardScratch>& shards) const {
     EngineSummary out;
     out.sessions = capacity_;
+    out.sessions_spawned = capacity_;  // generation 0, spawned by the ctor
+    out.fec = cfg_.fec.enabled;
+    out.nack = cfg_.fec.nack;
     for (std::size_t slot = 0; slot < capacity_; ++slot) {
         if (idle_left_[slot] == 0) ++out.active_sessions;
-        out.windows += tot_windows_[slot];
-        out.unit_losses += tot_losses_[slot];
-        out.acks_delivered += tot_acks_ok_[slot];
-        out.acks_lost += tot_acks_lost_[slot];
-        out.sessions_spawned += tot_spawned_[slot];
-        out.sessions_completed += tot_completed_[slot];
-        out.clf_max = std::max<std::uint64_t>(out.clf_max, max_clf_[slot]);
-    }
-    if (cfg_.fec.enabled) {
-        out.fec = true;
-        for (std::size_t slot = 0; slot < capacity_; ++slot) {
-            out.fec_repair_packets += tot_fec_repairs_[slot];
-            out.fec_windows_recovered += tot_fec_recovered_[slot];
-            out.fec_windows_unrecovered += tot_fec_unrecovered_[slot];
-        }
-    }
-    if (cfg_.fec.nack) {
-        out.nack = true;
-        for (std::size_t slot = 0; slot < capacity_; ++slot) {
-            out.nack_requests_sent += tot_nack_sent_[slot];
-            out.nack_requests_lost += tot_nack_lost_[slot];
-            out.nack_repair_packets += tot_nack_repairs_[slot];
-            out.nack_credits_expired += tot_nack_expired_[slot];
-            out.nack_windows_proactive += tot_nack_proactive_[slot];
-        }
-    }
-    if (cfg_.governor.enabled) {
-        for (std::size_t slot = 0; slot < capacity_; ++slot) {
-            for (std::size_t st = 0; st < 4; ++st) {
-                out.governor_windows[st] += tot_state_windows_[slot * 4 + st];
-            }
-            out.governor_transitions += tot_transitions_[slot];
-        }
-    } else {
-        // Unsupervised sessions run entirely in Normal; deriving the
-        // occupancy here keeps the hot path free of governor writes.
-        out.governor_windows[0] = out.windows;
-    }
-    out.slots = out.windows * static_cast<std::uint64_t>(n_);
-    std::uint64_t clf_sum = 0;
-    std::uint64_t clf_sq = 0;
-    for (std::size_t slot = 0; slot < capacity_; ++slot) {
-        clf_sum += tot_clf_[slot];
-        clf_sq += tot_clf_sq_[slot];
-    }
-    if (out.windows > 0) {
-        const double w = static_cast<double>(out.windows);
-        out.alf = static_cast<double>(out.unit_losses) /
-                  static_cast<double>(out.slots);
-        out.clf_mean = static_cast<double>(clf_sum) / w;
-        const double var =
-            static_cast<double>(clf_sq) / w - out.clf_mean * out.clf_mean;
-        out.clf_dev = var > 0.0 ? std::sqrt(var) : 0.0;
     }
     for (const ShardScratch& s : shards) {
-        out.idle_windows += s.idle_windows;
+        const ShardCounters& c = s.counters;
+        out.unit_losses += c.unit_losses;
+        out.idle_windows += c.idle_windows;
+        out.acks_delivered += c.acks_delivered;
+        out.acks_lost += c.acks_lost;
+        out.sessions_spawned += c.sessions_spawned;
+        out.sessions_completed += c.sessions_completed;
+        for (std::size_t st = 0; st < 4; ++st) {
+            out.governor_windows[st] += c.governor_windows[st];
+        }
+        out.governor_transitions += c.governor_transitions;
+        out.fec_repair_packets += c.fec_repair_packets;
+        out.fec_windows_recovered += c.fec_windows_recovered;
+        out.fec_windows_unrecovered += c.fec_windows_unrecovered;
+        out.nack_requests_sent += c.nack_requests_sent;
+        out.nack_requests_lost += c.nack_requests_lost;
+        out.nack_repair_packets += c.nack_repair_packets;
+        out.nack_credits_expired += c.nack_credits_expired;
+        out.nack_windows_proactive += c.nack_windows_proactive;
         for (std::size_t v = 0; v < s.clf_hist.size(); ++v) {
             if (s.clf_hist[v] > 0) {
                 out.clf_histogram.add(static_cast<std::int64_t>(v),
@@ -500,6 +446,27 @@ EngineSummary SessionPool::summarize(
                                         static_cast<std::size_t>(s.bound_hist[b]));
             }
         }
+    }
+    // Windows and the CLF moments, from the merged per-window CLF bins.
+    std::uint64_t clf_sum = 0;
+    std::uint64_t clf_sq = 0;
+    for (const auto& [v, count] : out.clf_histogram.bins()) {
+        const auto clf = static_cast<std::uint64_t>(v);
+        const auto k = static_cast<std::uint64_t>(count);
+        out.windows += k;
+        clf_sum += clf * k;
+        clf_sq += clf * clf * k;
+        out.clf_max = clf;  // bins ascend, so the last one is the max
+    }
+    out.slots = out.windows * static_cast<std::uint64_t>(n_);
+    if (out.windows > 0) {
+        const double w = static_cast<double>(out.windows);
+        out.alf = static_cast<double>(out.unit_losses) /
+                  static_cast<double>(out.slots);
+        out.clf_mean = static_cast<double>(clf_sum) / w;
+        const double var =
+            static_cast<double>(clf_sq) / w - out.clf_mean * out.clf_mean;
+        out.clf_dev = var > 0.0 ? std::sqrt(var) : 0.0;
     }
     if (cfg_.collect_metrics) {
         out.metrics.add_counter("engine/windows", out.windows);

@@ -1,17 +1,19 @@
 // Structure-of-arrays session pool — the engine's hot data.
 //
-// Per-session state (Gilbert chains, Eq. 1 estimate, pending-feedback
-// ring, churn counters, metric accumulators) lives in parallel arrays
-// indexed by slot, not in per-session objects.  A window step walks a
-// contiguous slot range touching only these arenas plus a per-shard
-// scratch buffer, so the steady-state path performs zero heap
-// allocations (pinned by test_alloc) and shards never write to shared
-// cache lines.
+// Per-session state that must survive from one window to the next
+// (Gilbert chains, Eq. 1 estimate, pending-feedback ring, churn, arm and
+// governor state) lives in parallel arrays indexed by slot, not in
+// per-session objects.  Running totals live per shard instead, in the
+// shard's ShardScratch.  A window step walks a contiguous slot range
+// touching only these arenas plus that scratch, so the steady-state path
+// performs zero heap allocations (pinned by test_alloc) and shards never
+// write to shared cache lines.
 //
 // Determinism contract: every random draw of slot s in its g-th occupancy
 // comes from the stream seeded by derive_seed(seed, g * capacity + s), and
-// all accumulators are integers merged in slot/shard order, so summaries
-// are byte-identical for any shard count (pinned by test_engine).
+// every total is an integer sum (or a histogram of integers) folded in
+// shard order, so summaries are byte-identical for any shard count
+// (pinned by test_engine).
 #pragma once
 
 #include <cstddef>
@@ -29,25 +31,48 @@
 
 namespace espread::engine {
 
+/// Per-shard running totals: plain integer sums over every window the
+/// shard ran, so folding shards by addition gives the same totals however
+/// the slot axis was cut.  Names match the EngineSummary fields they feed.
+struct ShardCounters {
+    std::uint64_t unit_losses = 0;
+    std::uint64_t idle_windows = 0;        ///< slot-windows spent unoccupied
+    std::uint64_t acks_delivered = 0;
+    std::uint64_t acks_lost = 0;
+    std::uint64_t sessions_spawned = 0;    ///< churn respawns only
+    std::uint64_t sessions_completed = 0;
+    std::uint64_t governor_windows[4] = {0, 0, 0, 0};  ///< Normal when off
+    std::uint64_t governor_transitions = 0;
+    std::uint64_t fec_repair_packets = 0;
+    std::uint64_t fec_windows_recovered = 0;
+    std::uint64_t fec_windows_unrecovered = 0;
+    std::uint64_t nack_requests_sent = 0;
+    std::uint64_t nack_requests_lost = 0;
+    std::uint64_t nack_repair_packets = 0;
+    std::uint64_t nack_credits_expired = 0;
+    std::uint64_t nack_windows_proactive = 0;
+};
+
 /// Per-shard working memory: the packed loss-mask scratch words plus the
-/// distribution accumulators that would be wasteful per slot.  All counts
-/// are integers, and histograms are flat arrays merged by addition, so
+/// shard's totals and distribution accumulators.  All counts are
+/// integers, and histograms are flat arrays merged by addition, so
 /// folding shards in index order yields grouping-independent totals.
-struct ShardScratch {
+/// Cache-line aligned so adjacent shards never share a line.
+struct alignas(64) ShardScratch {
     std::vector<std::uint64_t> tx_words;   ///< transmission-order loss bits
     std::vector<std::uint64_t> pb_words;   ///< playback-order loss bits
     std::vector<std::uint64_t> clf_hist;   ///< bin v = windows with CLF == v
     std::vector<std::uint64_t> bound_hist; ///< bin b = windows sent with bound b
-    std::uint64_t idle_windows = 0;        ///< slot-windows spent unoccupied
+    ShardCounters counters;
     /// Telemetry plane sink for this shard; null when telemetry is off.
     /// Every use in the hot path is null-gated (one predictable branch),
     /// so the disabled step loop stays allocation-free and unperturbed.
     obs::telemetry::TelemetrySlab* telemetry = nullptr;
 };
 
-/// Everything summarize() derives from the arenas.  Doubles are computed
-/// from integer totals in a fixed order, so they too are bit-identical
-/// across shard counts.
+/// Everything summarize() folds from the shard scratches.  Doubles are
+/// computed from integer totals in a fixed order, so they too are
+/// bit-identical across shard counts.
 struct EngineSummary {
     std::size_t sessions = 0;          ///< pool capacity (slots)
     std::size_t active_sessions = 0;   ///< slots occupied at summary time
@@ -61,11 +86,12 @@ struct EngineSummary {
     std::uint64_t clf_max = 0;         ///< worst window CLF seen
     std::uint64_t acks_delivered = 0;  ///< feedback packets that survived
     std::uint64_t acks_lost = 0;       ///< feedback packets dropped
-    std::uint64_t sessions_spawned = 0;
+    std::uint64_t sessions_spawned = 0;  ///< capacity + churn respawns
     std::uint64_t sessions_completed = 0;
-    /// Windows run under each governor-lite state (all in [0] = Normal
-    /// when supervision is off).  Reconciles with the telemetry plane's
-    /// TelemetryCounters::governor_windows (pinned by test_telemetry).
+    /// Windows run under each governor-lite state, counted every window
+    /// (all in [0] = Normal when supervision is off).  Reconciles with the
+    /// telemetry plane's TelemetryCounters::governor_windows (pinned by
+    /// test_telemetry).
     std::uint64_t governor_windows[4] = {0, 0, 0, 0};
     std::uint64_t governor_transitions = 0;  ///< governor-lite state changes
     /// FEC-lite arm (all zero, and absent from summary_json, when off).
@@ -113,8 +139,8 @@ public:
     void run_window_range(std::size_t begin, std::size_t end,
                           ShardScratch& s) noexcept;
 
-    /// Folds slot totals (in slot order) and shard scratches (in shard
-    /// order) into an EngineSummary.
+    /// Folds the shard scratches (in shard order) into an EngineSummary;
+    /// windows and the CLF moments come from the CLF histogram.
     EngineSummary summarize(const std::vector<ShardScratch>& shards) const;
 
     /// The (lifetime, arrival-gap) pair the churn model draws for a
@@ -157,39 +183,16 @@ private:
     std::vector<std::uint32_t> gap_next_;       ///< idle gap after departure
     std::vector<std::uint32_t> generation_;     ///< occupancy count of slot
 
-    // Per-slot integer totals, never reset across generations.
-    std::vector<std::uint64_t> tot_windows_;
-    std::vector<std::uint64_t> tot_clf_;
-    std::vector<std::uint64_t> tot_clf_sq_;
-    std::vector<std::uint64_t> tot_losses_;
-    std::vector<std::uint64_t> tot_acks_ok_;
-    std::vector<std::uint64_t> tot_acks_lost_;
-    std::vector<std::uint64_t> tot_spawned_;
-    std::vector<std::uint64_t> tot_completed_;
-    std::vector<std::uint32_t> max_clf_;
-
-    // FEC-lite arm (sized only when cfg_.fec.enabled, so an uncoded pool
-    // pays nothing).
+    /// FEC-lite repairs accrued per window (0 when the arm is off).
     std::size_t fec_repairs_per_window_ = 0;
-    std::vector<std::uint64_t> tot_fec_repairs_;
-    std::vector<std::uint64_t> tot_fec_recovered_;
-    std::vector<std::uint64_t> tot_fec_unrecovered_;
 
-    // NACK-lite arenas (sized iff cfg.fec.nack; all per-slot, so the
-    // shard-count determinism contract is untouched).
+    // NACK-lite state (sized iff cfg.fec.nack).
     std::vector<std::uint32_t> nack_credit_;  ///< banked repair packets
     std::vector<std::uint32_t> nack_wd_;      ///< consecutive lost feedbacks
-    std::vector<std::uint64_t> tot_nack_sent_;
-    std::vector<std::uint64_t> tot_nack_lost_;
-    std::vector<std::uint64_t> tot_nack_repairs_;
-    std::vector<std::uint64_t> tot_nack_expired_;
-    std::vector<std::uint64_t> tot_nack_proactive_;
 
     // Governor-lite supervision (sized only when cfg_.governor.enabled,
     // so an unsupervised pool pays nothing).
     std::vector<GovernorLiteState> gov_;
-    std::vector<std::uint64_t> tot_state_windows_;  ///< capacity * 4
-    std::vector<std::uint64_t> tot_transitions_;
 };
 
 }  // namespace espread::engine

@@ -188,11 +188,13 @@ std::size_t AdaptationGovernor::on_window_start(std::size_t k,
             // Slew-limited ramp: at most max_step per window back toward
             // whatever the re-fed estimator now says.
             if (raw > published_) {
-                published_ = std::min(raw, published_ + cfg_.max_step);
+                published_ = raw - published_ > cfg_.max_step
+                                 ? published_ + cfg_.max_step
+                                 : raw;
             } else if (raw < published_) {
-                published_ = std::max(
-                    raw, published_ > cfg_.max_step ? published_ - cfg_.max_step
-                                                    : std::size_t{1});
+                published_ = published_ - raw > cfg_.max_step
+                                 ? published_ - cfg_.max_step
+                                 : raw;
             }
             candidate_bound_ = published_;
             candidate_streak_ = 0;

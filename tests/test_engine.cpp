@@ -25,11 +25,20 @@ namespace {
 
 using espread::engine::EngineConfig;
 using espread::engine::EngineSummary;
+using espread::engine::governor_lite_step;
+using espread::engine::GovernorLiteConfig;
+using espread::engine::GovernorLiteState;
+using espread::engine::kGovRecovering;
 using espread::engine::ReferenceTrace;
 using espread::engine::run_reference_session;
 using espread::engine::SessionPool;
 using espread::engine::ShardedEngine;
+using espread::engine::ShardScratch;
 using espread::engine::summary_json;
+
+// Each shard's scratch, running totals included, sits on its own cache
+// lines, so shards stepping side by side never write to a shared line.
+static_assert(alignof(ShardScratch) >= 64);
 
 EngineConfig churny_config() {
     EngineConfig cfg;
@@ -59,14 +68,14 @@ std::string run_to_json(EngineConfig cfg, std::size_t shards,
 // The core contract: sharding buys wall-clock only, never different
 // numbers.  With churn, feedback loss, and metrics all enabled, the
 // rendered summary (scalars, both histograms, the metrics registry)
-// must be byte-identical across shard counts 1, 2, and 8.
+// must be byte-identical across shard counts 1, 2, 7 and 8 (96 / 7
+// leaves uneven ranges).
 TEST(Engine, ShardCountInvariance) {
     const EngineConfig cfg = churny_config();
     const std::string one = run_to_json(cfg, 1, 64);
-    const std::string two = run_to_json(cfg, 2, 64);
-    const std::string eight = run_to_json(cfg, 8, 64);
-    EXPECT_EQ(one, two);
-    EXPECT_EQ(one, eight);
+    EXPECT_EQ(one, run_to_json(cfg, 2, 64));
+    EXPECT_EQ(one, run_to_json(cfg, 7, 64));
+    EXPECT_EQ(one, run_to_json(cfg, 8, 64));
 }
 
 // Churn itself is a pure function of (seed, session id): two runs of the
@@ -225,49 +234,86 @@ TEST(Engine, SpreadLowersMeanClfUnderSameChannel) {
 // Governor-lite supervision is part of the determinism contract too:
 // with heavy feedback loss forcing outage excursions, the supervised
 // pool must still match the scalar reference window for window — same
-// totals, same per-state occupancy, same transition count.
+// totals, same per-state occupancy, same transition count.  A max_step
+// of SIZE_MAX (accepted by validate()) must neither wrap the slew limit
+// nor publish bound 0.
 TEST(Engine, GovernedPoolOfOneMatchesReference) {
-    EngineConfig cfg;
-    cfg.sessions = 1;
-    cfg.shards = 1;
-    cfg.window_ldus = 24;
-    cfg.packets_per_ldu = 2;
-    cfg.feedback_loss = {0.6, 0.9};  // mostly-lost feedback: misses abound
-    cfg.governor.enabled = true;
-    cfg.governor.miss_budget = 2;
-    cfg.governor.fallback_budget = 3;
-    cfg.governor.recovery_windows = 3;
-    cfg.seed = 31;
-    constexpr std::size_t kWindows = 300;
+    for (const std::size_t max_step :
+         {std::size_t{4}, std::numeric_limits<std::size_t>::max()}) {
+        SCOPED_TRACE(max_step);
+        EngineConfig cfg;
+        cfg.sessions = 1;
+        cfg.shards = 1;
+        cfg.window_ldus = 24;
+        cfg.packets_per_ldu = 2;
+        cfg.feedback_loss = {0.6, 0.9};  // mostly-lost feedback: misses abound
+        cfg.governor.enabled = true;
+        cfg.governor.miss_budget = 2;
+        cfg.governor.fallback_budget = 3;
+        cfg.governor.recovery_windows = 3;
+        cfg.governor.max_step = max_step;
+        cfg.seed = 31;
+        constexpr std::size_t kWindows = 300;
 
-    ShardedEngine engine(cfg);
-    engine.run(kWindows);
-    const EngineSummary s = engine.summary();
-    const ReferenceTrace ref = run_reference_session(cfg, 0, kWindows);
-    ASSERT_EQ(ref.window_state.size(), kWindows);
+        ShardedEngine engine(cfg);
+        engine.run(kWindows);
+        const EngineSummary s = engine.summary();
+        const ReferenceTrace ref = run_reference_session(cfg, 0, kWindows);
+        ASSERT_EQ(ref.window_state.size(), kWindows);
 
-    EXPECT_EQ(s.windows, kWindows);
-    EXPECT_EQ(s.unit_losses, ref.unit_losses);
-    EXPECT_EQ(s.acks_delivered, ref.acks_delivered);
-    EXPECT_EQ(s.acks_lost, ref.acks_lost);
-    EXPECT_EQ(s.governor_transitions, ref.governor_transitions);
-    std::uint64_t occupancy[4] = {0, 0, 0, 0};
-    for (const std::uint8_t st : ref.window_state) ++occupancy[st];
-    for (std::size_t st = 0; st < 4; ++st) {
-        SCOPED_TRACE(st);
-        EXPECT_EQ(s.governor_windows[st], occupancy[st]);
+        EXPECT_EQ(s.windows, kWindows);
+        EXPECT_EQ(s.unit_losses, ref.unit_losses);
+        EXPECT_EQ(s.acks_delivered, ref.acks_delivered);
+        EXPECT_EQ(s.acks_lost, ref.acks_lost);
+        EXPECT_EQ(s.governor_transitions, ref.governor_transitions);
+        std::uint64_t occupancy[4] = {0, 0, 0, 0};
+        for (const std::uint8_t st : ref.window_state) ++occupancy[st];
+        for (std::size_t st = 0; st < 4; ++st) {
+            SCOPED_TRACE(st);
+            EXPECT_EQ(s.governor_windows[st], occupancy[st]);
+        }
+        // The chosen parameters actually exercise the whole ladder.
+        EXPECT_GT(s.governor_transitions, 0u);
+        EXPECT_GT(s.governor_windows[1] + s.governor_windows[2], 0u);
+        EXPECT_GT(s.governor_windows[3], 0u);
+        EXPECT_EQ(s.bound_histogram.count(0), 0u);
+        // Per-window bounds agree with the supervised reference loop.
+        for (std::size_t w = 0; w < kWindows; ++w) {
+            SCOPED_TRACE(w);
+            const auto bound = static_cast<std::int64_t>(ref.window_bound[w]);
+            EXPECT_EQ(s.bound_histogram.count(bound),
+                      static_cast<std::size_t>(
+                          std::count(ref.window_bound.begin(),
+                                     ref.window_bound.end(),
+                                     ref.window_bound[w])));
+        }
     }
-    // The chosen parameters actually exercise the whole ladder.
-    EXPECT_GT(s.governor_transitions, 0u);
-    EXPECT_GT(s.governor_windows[1] + s.governor_windows[2], 0u);
-    // Per-window bounds agree with the supervised reference loop.
-    for (std::size_t w = 0; w < kWindows; ++w) {
-        SCOPED_TRACE(w);
-        const auto bound = static_cast<std::int64_t>(ref.window_bound[w]);
-        EXPECT_EQ(s.bound_histogram.count(bound),
-                  static_cast<std::size_t>(
-                      std::count(ref.window_bound.begin(),
-                                 ref.window_bound.end(), ref.window_bound[w])));
+}
+
+// The Recovering slew limit compares differences, never prev + max_step,
+// so a SIZE_MAX step publishes the raw bound in both directions instead
+// of a wrapped sum (prev 5 -> 4, prev 1 -> the fatal bound 0).
+TEST(Engine, GovernorLiteSlewLimitCannotWrap) {
+    constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+    struct Case {
+        std::size_t max_step;
+        std::uint32_t prev;
+        std::size_t bound;
+    };
+    // Raw bound 10 throughout; a finite step still limits the ramp.
+    for (const Case c : {Case{kMax, 1, 10}, Case{kMax, 5, 10},
+                         Case{kMax, 20, 10}, Case{2, 5, 7}, Case{2, 20, 18}}) {
+        SCOPED_TRACE(::testing::Message() << c.max_step << " " << c.prev);
+        GovernorLiteConfig cfg;
+        cfg.max_step = c.max_step;
+        GovernorLiteState g;
+        g.state = kGovRecovering;
+        g.published = c.prev;
+        double estimate = 10.0;
+        const auto o = governor_lite_step(g, cfg, /*armed=*/false,
+                                          /*fed=*/false, estimate, 24);
+        EXPECT_EQ(o.bound, c.bound);
+        EXPECT_EQ(g.published, c.bound);
     }
 }
 
@@ -278,6 +324,7 @@ TEST(Engine, GovernedShardCountInvariance) {
     cfg.governor.enabled = true;
     const std::string one = run_to_json(cfg, 1, 64);
     EXPECT_EQ(one, run_to_json(cfg, 2, 64));
+    EXPECT_EQ(one, run_to_json(cfg, 7, 64));
     EXPECT_EQ(one, run_to_json(cfg, 8, 64));
     // And supervision is not a no-op relative to the unsupervised run.
     EngineConfig off = churny_config();
@@ -295,6 +342,7 @@ TEST(Engine, CodedShardCountInvariance) {
     cfg.fec.overhead_den = 5;
     const std::string one = run_to_json(cfg, 1, 64);
     EXPECT_EQ(one, run_to_json(cfg, 2, 64));
+    EXPECT_EQ(one, run_to_json(cfg, 7, 64));
     EXPECT_EQ(one, run_to_json(cfg, 8, 64));
     // And the coded arm is not a no-op relative to the uncoded run.
     EngineConfig off = churny_config();
@@ -350,6 +398,7 @@ TEST(Engine, NackShardCountInvariance) {
     cfg.fec.nack = true;
     const std::string one = run_to_json(cfg, 1, 64);
     EXPECT_EQ(one, run_to_json(cfg, 2, 64));
+    EXPECT_EQ(one, run_to_json(cfg, 7, 64));
     EXPECT_EQ(one, run_to_json(cfg, 8, 64));
     // And receiver-driven banking is not a no-op relative to the fixed
     // proactive schedule.
@@ -462,6 +511,14 @@ TEST(EngineGolden, FleetShapeArmsOff) {
 
 TEST(EngineGolden, ArmsShapeFecNackGovernor) {
     EXPECT_EQ(fnv1a(run_to_json(arms_shape(), 2, 80)), 0x0F07A22129851B47ULL);
+}
+
+// Every arm at once (FEC, NACK, governor, telemetry) folds its shard
+// counters across partial ranges: 300 / 7 splits unevenly.
+TEST(Engine, ArmsShapeShardCountInvariance) {
+    const std::string two = run_to_json(arms_shape(), 2, 80);
+    EXPECT_EQ(run_to_json(arms_shape(), 1, 80), two);
+    EXPECT_EQ(run_to_json(arms_shape(), 7, 80), two);
 }
 
 TEST(EngineGolden, InOrderArm) {

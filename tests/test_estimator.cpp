@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <limits>
 #include <stdexcept>
 
 namespace {
@@ -122,6 +124,19 @@ TEST(Estimator, GuardedUpdateBoundsSingleStep) {
     // An observation within reach passes through the guard unchanged.
     EXPECT_EQ(e.guarded_update(6, 3), 6u);
     EXPECT_EQ(e.bound(), 6u);
+}
+
+// validate() accepts any max_step >= 1, so SIZE_MAX must not wrap the
+// guard's upper edge: the guard simply never engages.
+TEST(Estimator, GuardedUpdateMaxStepSizeMaxDoesNotWrap) {
+    constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+    BurstEstimator e{24, 1.0};  // bound 12
+    EXPECT_EQ(e.guarded_update(20, kMax), 20u);
+    EXPECT_EQ(e.bound(), 20u);
+    EXPECT_EQ(e.guarded_update(0, kMax), 0u);
+    EXPECT_EQ(e.bound(), 1u);
+    EXPECT_EQ(e.guarded_update(99, kMax), 24u);  // still clamped to the window
+    EXPECT_EQ(e.bound(), 24u);
 }
 
 TEST(Estimator, GuardedUpdateMaxStepZeroFreezesBound) {

@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstddef>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -212,6 +214,36 @@ TEST(Governor, WatchdogWalksFallbackAndRecovery) {
                   gov.report().windows_in_state[2] +
                   gov.report().windows_in_state[3],
               16u);
+}
+
+// validate() accepts max_step = SIZE_MAX; the slew limit and the outlier
+// guard must compare differences, not wrapped sums, so recovery publishes
+// the raw bound at once instead of a wrapped one.
+TEST(Governor, MaxStepSizeMaxDoesNotWrap) {
+    BurstEstimator est(16, 1.0);  // raw bound == latest observation
+    GovernorConfig cfg = test_config();
+    cfg.max_step = std::numeric_limits<std::size_t>::max();
+    ASSERT_NO_THROW(cfg.validate());
+    AdaptationGovernor gov(cfg, est);
+
+    gov.on_window_start(0);
+    gov.on_window_start(1);
+    gov.on_window_start(2);  // miss 1
+    gov.on_window_start(3);  // miss 2 == budget
+    gov.on_window_start(4);  // miss 3 > budget: Fallback at the prior
+    ASSERT_EQ(gov.state(), GovernorState::kFallback);
+    ASSERT_EQ(gov.governed_bound(), 8u);
+
+    ASSERT_EQ(gov.admit_ack(3, 1), std::nullopt);
+    gov.on_observation(14);
+    EXPECT_EQ(gov.on_window_start(5), 14u) << "upward slew wrapped";
+    ASSERT_EQ(gov.state(), GovernorState::kRecovering);
+    EXPECT_EQ(gov.report().observations_clamped, 0u);
+
+    ASSERT_EQ(gov.admit_ack(4, 2), std::nullopt);
+    gov.on_observation(2);
+    EXPECT_EQ(gov.on_window_start(6), 2u) << "downward slew misfired";
+    EXPECT_EQ(gov.state(), GovernorState::kRecovering);
 }
 
 TEST(Governor, OutageMidRecoveryDoublesRearmStreak) {
