@@ -3,15 +3,11 @@
 #include <stdexcept>
 
 #include "exp/json.hpp"
+#include "sim/contracts.hpp"
 
 namespace espread::obs::telemetry {
 
 namespace {
-
-/// Engine governor-lite state names (mirrors proto::GovernorState; the
-/// telemetry layer cannot depend on protocol without inverting the
-/// library graph).
-const char* kStateNames[4] = {"normal", "degraded", "fallback", "recovering"};
 
 void append_counters(exp::JsonWriter& json, const TelemetryCounters& c) {
     json.begin_object();
@@ -192,9 +188,9 @@ std::string prometheus_text(const FleetSnapshot& s, const std::string& prefix) {
                  s.totals.sessions_completed);
     out += "# TYPE " + prefix + "_governor_windows_total counter\n";
     for (std::size_t st = 0; st < 4; ++st) {
-        out += prefix + "_governor_windows_total{state=\"" +
-               kStateNames[st] + "\"} " +
-               std::to_string(s.totals.governor_windows[st]) + "\n";
+        out += prefix + "_governor_windows_total{state=\"";
+        out += contracts::kGovernorStateNames[st];
+        out += "\"} " + std::to_string(s.totals.governor_windows[st]) + "\n";
     }
     // Histogram names are the four telemetry signal names (contracts.hpp
     // kTelemetrySignalNames), matching the snapshot-series keys and the

@@ -277,8 +277,9 @@ inline constexpr std::string_view kSloHealthNames[] = {
     "breached",
 };
 
-// Governor state labels, in proto::GovernorState enumerator order; shared
-// by the Prometheus exposition and the report tool's occupancy line.
+// Governor state labels, in proto::GovernorState (and engine kGov*) order:
+// the only copy, read by proto::governor_state_name, the Prometheus
+// exposition and the report tool's occupancy line.
 inline constexpr std::string_view kGovernorStateNames[] = {
     "normal",
     "degraded",

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "json_read.hpp"
+#include "sim/contracts.hpp"
 
 namespace espread::report {
 
@@ -290,15 +291,14 @@ bool render_report(const std::string& json_text, const ReportOptions& opt,
                                     t.governor_windows[2] +
                                     t.governor_windows[3];
     if (gov_total > 0) {
-        static const char* const kStates[4] = {"normal", "degraded",
-                                               "fallback", "recovering"};
         out.text += "  governor occupancy";
         for (std::size_t s = 0; s < 4; ++s) {
             const double pct = 100.0 *
                                static_cast<double>(t.governor_windows[s]) /
                                static_cast<double>(gov_total);
-            out.text += std::string(" ") + kStates[s] + " " +
-                        fmt_double(pct) + "%";
+            out.text += ' ';
+            out.text += contracts::kGovernorStateNames[s];
+            out.text += " " + fmt_double(pct) + "%";
         }
         out.text += "\n";
     }
