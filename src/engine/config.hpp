@@ -150,8 +150,10 @@ struct EngineConfig {
             throw std::invalid_argument(
                 "EngineConfig: churn.min_lifetime_windows must be >= 1");
         }
-        // The churn draws are Bernoulli loops with success probability
-        // 1 / (1 + mean): an infinite mean would never terminate.
+        // The churn draws are geometric with success probability
+        // 1 / (1 + mean), O(mean) RNG words each.  An infinite or NaN
+        // mean gives p = 0 or NaN, whose draw returns UINT64_MAX, not a
+        // lifetime.
         const auto mean_ok = [](double m) { return m >= 0.0 && std::isfinite(m); };
         if (churn.enabled && (!mean_ok(churn.mean_lifetime_windows) ||
                               !mean_ok(churn.mean_arrival_gap_windows))) {

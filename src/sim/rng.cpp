@@ -59,13 +59,6 @@ double Rng::lognormal(double mu, double sigma) noexcept {
     return std::exp(normal(mu, sigma));
 }
 
-std::uint64_t Rng::geometric(double p) noexcept {
-    if (p >= 1.0) return 0;
-    std::uint64_t n = 0;
-    while (!bernoulli(p)) ++n;
-    return n;
-}
-
 std::uint64_t derive_seed(std::uint64_t base, std::uint64_t index) noexcept {
     // splitmix64 advances its state by the golden-ratio constant per draw,
     // so the index-th output is the finalizer applied to

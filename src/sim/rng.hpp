@@ -9,6 +9,7 @@
 
 #include <array>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 
@@ -77,8 +78,24 @@ public:
     double lognormal(double mu, double sigma) noexcept;
 
     /// Geometric distribution: number of failures before the first success
-    /// with success probability p in (0, 1].  Returns values in {0, 1, ...}.
-    std::uint64_t geometric(double p) noexcept;
+    /// with success probability p.  Returns values in {0, 1, ...}.
+    ///
+    /// Stream-exact with the Bernoulli loop `while (!bernoulli(p)) ++n`.
+    /// With k the top 53 bits of a word, a trial succeeds when
+    /// k·2^-53 < p, i.e. when k < p·2^53 (scaling by 2^53 is exact), i.e.
+    /// when k < t = ceil(p·2^53) (k is an integer).  So the loop consumes
+    /// the same words and returns the same count: O(mean) words, one
+    /// integer compare each.  p >= 1 returns 0 without drawing.  When
+    /// p <= 0 or p is NaN no trial can succeed (t would be 0), so it
+    /// returns the distribution's limit, UINT64_MAX, without drawing.
+    std::uint64_t geometric(double p) noexcept {
+        if (p >= 1.0) return 0;
+        if (!(p > 0.0)) return max();
+        const auto t = static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+        std::uint64_t n = 0;
+        while ((next_u64() >> 11) >= t) ++n;
+        return n;
+    }
 
     /// Derives an independent child generator.  Children produced by
     /// distinct calls (or distinct stream ids) are statistically

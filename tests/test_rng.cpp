@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <ios>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -143,6 +147,100 @@ TEST(Rng, GeometricMean) {
 TEST(Rng, GeometricCertainSuccess) {
     Rng r{17};
     EXPECT_EQ(r.geometric(1.0), 0u);
+}
+
+// With p <= 0 or NaN no trial can succeed: the draw returns the
+// distribution's limit at once and leaves the stream where it was.
+TEST(Rng, GeometricNeverSucceedingReturnsLimit) {
+    const double never[] = {0.0, -0.5, -std::numeric_limits<double>::infinity(),
+                            std::numeric_limits<double>::quiet_NaN()};
+    for (const double p : never) {
+        Rng r{18};
+        Rng untouched{18};
+        EXPECT_EQ(r.geometric(p), std::numeric_limits<std::uint64_t>::max()) << p;
+        EXPECT_EQ(r.next_u64(), untouched.next_u64()) << p;
+    }
+}
+
+// The per-word Bernoulli loop Rng::geometric replaced, kept as its
+// reference.
+std::uint64_t geometric_reference(Rng& r, double p) {
+    if (p >= 1.0) return 0;
+    std::uint64_t n = 0;
+    while (!r.bernoulli(p)) ++n;
+    return n;
+}
+
+// Inverse of an odd a modulo 2^64 (Newton: each step doubles the correct
+// low bits, starting from 3).
+constexpr std::uint64_t inverse_mod_2_64(std::uint64_t a) {
+    std::uint64_t x = a;
+    for (int i = 0; i < 5; ++i) x *= 2 - a * x;
+    return x;
+}
+
+// Inverse of y = x ^ (x >> s).
+constexpr std::uint64_t unxorshift(std::uint64_t y, int s) {
+    std::uint64_t x = y;
+    for (int i = 0; i < 64 / s; ++i) x = y ^ (x >> s);
+    return x;
+}
+
+// A generator whose first word is `w`.  Rng(seed) sets state word 1 to
+// SplitMix64's second output, mix(seed + 2·golden), and xoshiro256**'s
+// first word is rotl(s1·5, 7)·9; both steps are inverted here.
+Rng rng_with_first_word(std::uint64_t w) {
+    std::uint64_t z = std::rotr(w * inverse_mod_2_64(9), 7) * inverse_mod_2_64(5);
+    z = unxorshift(z, 31) * inverse_mod_2_64(0x94D049BB133111EBULL);
+    z = unxorshift(z, 27) * inverse_mod_2_64(0xBF58476D1CE4E5B9ULL);
+    z = unxorshift(z, 30);
+    return Rng{z - 2 * 0x9E3779B97F4A7C15ULL};
+}
+
+// Rng::geometric counts words against the integer threshold
+// t = ceil(p·2^53); the loop it replaced tested uniform() < p per word.
+// Both must return the same count and leave the stream at the same next
+// word, for dyadic p (p·2^53 an integer), their neighbours, the
+// benchmark's churn probabilities 1/49 and 1/9, and the extremes.  Random
+// streams almost never hit the threshold itself, so each p also starts
+// from planted words whose top 53 bits are k = t - 1 (a success) and
+// k = t (a failure): a wrong rounding or compare shows there.
+TEST(Rng, GeometricMatchesBernoulliLoop) {
+    std::vector<double> ps;
+    for (const double d : {0.5, 0.25, 0x1.0p-20}) {
+        ps.insert(ps.end(), {d, std::nextafter(d, 0.0), std::nextafter(d, 1.0)});
+    }
+    ps.insert(ps.end(),
+              {1.0 / 49.0, 1.0 / 9.0, 1.0 - 0x1.0p-53, 0x1.0p-53, 0x1.0p-60});
+    for (const double p : ps) {
+        SCOPED_TRACE(testing::Message() << std::hexfloat << p);
+        const auto t = static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+        // Below 2^-20 a failed trial leaves about 1/p words still to draw,
+        // so only the planted success is tractable there.
+        const bool failures_ok = p >= 0x1.0p-20;
+        std::vector<std::uint64_t> planted_k{t - 1};  // a success
+        if (failures_ok) planted_k.push_back(t);      // a failure
+        std::vector<Rng> starts;
+        for (const std::uint64_t k : planted_k) {
+            Rng planted = rng_with_first_word(k << 11 | 0x5A5);
+            ASSERT_EQ(Rng{planted}.next_u64(), k << 11 | 0x5A5);
+            Rng ref = planted;
+            ASSERT_EQ(geometric_reference(ref, p) == 0, k < t) << k;
+            starts.push_back(planted);
+        }
+        if (failures_ok) {
+            for (std::uint64_t seed = 1; seed <= 8; ++seed) starts.emplace_back(seed);
+        }
+        const int draws = p >= 0x1.0p-10 ? 256 : 1;
+        for (const Rng& start : starts) {
+            Rng got = start;
+            Rng ref = start;
+            for (int d = 0; d < draws; ++d) {
+                ASSERT_EQ(got.geometric(p), geometric_reference(ref, p)) << d;
+            }
+            ASSERT_EQ(got.next_u64(), ref.next_u64());
+        }
+    }
 }
 
 TEST(Rng, SplitStreamsAreIndependent) {
