@@ -107,6 +107,18 @@ ContinuityReport measure_continuity(const BitMask& delivered);
 /// the corresponding delivery mask.
 std::size_t max_set_run(const std::uint64_t* words, std::size_t nwords) noexcept;
 
+/// max_set_run(&x, 1) by shift-and: each round `x &= x << 1` shortens
+/// every run of set bits by one, so the number of rounds until x is empty
+/// is the longest run.  One branch per round instead of one per run.
+[[nodiscard]] inline std::size_t max_set_run_word(std::uint64_t x) noexcept {
+    std::size_t rounds = 0;
+    while (x != 0) {
+        x &= x << 1;
+        ++rounds;
+    }
+    return rounds;
+}
+
 /// Number of set bits across `nwords` words — aggregate_loss_count() of the
 /// corresponding delivery mask.
 std::size_t count_set_bits(const std::uint64_t* words, std::size_t nwords) noexcept;

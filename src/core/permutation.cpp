@@ -57,6 +57,21 @@ bool Permutation::is_identity() const noexcept {
     return true;
 }
 
+void Permutation::fill_nibble_table(std::uint64_t* table) const noexcept {
+    for (std::size_t j = 0; j < nibbles(image_.size()); ++j) {
+        for (unsigned v = 0; v < 16; ++v) {
+            std::uint64_t out = 0;
+            for (unsigned bit = 0; bit < 4; ++bit) {
+                const std::size_t slot = 4 * j + bit;
+                if ((v >> bit & 1U) != 0 && slot < image_.size()) {
+                    out |= std::uint64_t{1} << image_[slot];
+                }
+            }
+            table[16 * j + v] = out;
+        }
+    }
+}
+
 std::string Permutation::to_string_one_based() const {
     std::string out;
     char buf[16];

@@ -145,6 +145,33 @@ public:
         }
     }
 
+    /// Nibbles in a one-word mask of `n` bits: the row length of a nibble
+    /// scatter table is 16 * nibbles(n) words.
+    [[nodiscard]] static constexpr std::size_t nibbles(std::size_t n) noexcept {
+        return (n + 3) / 4;
+    }
+
+    /// Builds the table scatter_word() reads, for size() <= 64:
+    /// `table[16 * j + v]` (j < nibbles(size()), v < 16) is the
+    /// playback-order mask that scatter_set_bits gives for the
+    /// transmission-order word v << 4j.  Bits of v past size() are
+    /// ignored.  `table` holds 16 * nibbles(size()) words.
+    void fill_nibble_table(std::uint64_t* table) const noexcept;
+
+    /// scatter_set_bits() of the one word `src` by table lookup: the OR of
+    /// one fill_nibble_table() entry per nibble, with no store and no
+    /// per-bit dependency.  `count` is nibbles(size()) of the table's
+    /// permutation; bits of `src` past size() must be clear.
+    [[nodiscard]] static std::uint64_t scatter_word(const std::uint64_t* table,
+                                                    std::size_t count,
+                                                    std::uint64_t src) noexcept {
+        std::uint64_t out = 0;
+        for (std::size_t j = 0; j < count; ++j) {
+            out |= table[16 * j + ((src >> (4 * j)) & 15U)];
+        }
+        return out;
+    }
+
     /// Human-readable 1-based rendering, e.g. "01 06 11 16 ..." as printed
     /// in the paper's Table 1.
     std::string to_string_one_based() const;

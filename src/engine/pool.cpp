@@ -34,6 +34,12 @@ void set_bits(std::uint64_t* w, std::size_t lo, std::size_t hi) noexcept {
     w[whi] |= mhi;
 }
 
+/// Bits [lo, hi] (inclusive, hi < 64) of one word.  At hi == 63 the shift
+/// 2 << 63 wraps to 0, and 0 - 1 is the all-ones word the span needs.
+constexpr std::uint64_t span_bits(std::size_t lo, std::size_t hi) noexcept {
+    return ((std::uint64_t{2} << hi) - 1) & ~((std::uint64_t{1} << lo) - 1);
+}
+
 const EngineConfig& validated(const EngineConfig& cfg) {
     cfg.validate();
     return cfg;
@@ -87,7 +93,18 @@ SessionPool::SessionPool(const EngineConfig& cfg)
     f_ = cfg_.packets_per_ldu;
     words_ = (n_ + 63) / 64;
 
-    if (cfg_.spread) {
+    if (cfg_.spread && words_ == 1) {
+        // One-word windows keep only the scatter tables, allocated before
+        // the calculate_permutation temporaries.  Keeping perms_ as well
+        // changed the heap layout enough that glibc trimmed and re-faulted
+        // the freed heap on every back-to-back construction.
+        nibbles_ = Permutation::nibbles(n_);
+        scatter_lut_.assign((n_ + 1) * 16 * nibbles_, 0);
+        for (std::size_t b = 1; b <= n_; ++b) {
+            calculate_permutation(n_, b).perm.fill_nibble_table(
+                &scatter_lut_[b * 16 * nibbles_]);
+        }
+    } else if (cfg_.spread) {
         perms_.resize(n_ + 1);
         for (std::size_t b = 1; b <= n_; ++b) {
             perms_[b] = calculate_permutation(n_, b).perm;
@@ -191,6 +208,16 @@ void SessionPool::init_scratch(ShardScratch& s) const {
 
 void SessionPool::run_window_range(std::size_t begin, std::size_t end,
                                    ShardScratch& s) noexcept {
+    if (words_ == 1) {
+        run_range<true>(begin, end, s);
+    } else {
+        run_range<false>(begin, end, s);
+    }
+}
+
+template <bool OneWord>
+void SessionPool::run_range(std::size_t begin, std::size_t end,
+                            ShardScratch& s) noexcept {
     const std::size_t D = cfg_.feedback_delay_windows;
     const std::size_t packets = n_ * f_;
     const bool governed = cfg_.governor.enabled;
@@ -198,6 +225,10 @@ void SessionPool::run_window_range(std::size_t begin, std::size_t end,
     const bool nack_on = cfg_.fec.nack;
     std::uint64_t* tx = s.tx_words.data();
     std::uint64_t* pb = s.pb_words.data();
+    // Locals, not members: stores to the uint64_t histograms below could
+    // otherwise alias them and force a reload every window.
+    const std::uint64_t* const lut = scatter_lut_.data();
+    const std::size_t nibbles = nibbles_;
     obs::telemetry::TelemetrySlab* const tel = s.telemetry;
     const net::GilbertModel& data_model = data_model_;
     const net::GilbertModel& feedback_model = feedback_model_;
@@ -246,7 +277,9 @@ void SessionPool::run_window_range(std::size_t begin, std::size_t end,
 
         // 2. Channel: batched Gilbert runs -> lost-LDU bit ranges in
         //    transmission order (an LDU is lost if any of its packets is).
-        std::fill_n(tx, words_, std::uint64_t{0});
+        //    One-word windows OR each range into tx1; wider ones mark tx.
+        std::uint64_t tx1 = 0;
+        if constexpr (!OneWord) std::fill_n(tx, words_, std::uint64_t{0});
         net::GilbertChain& chain = data_chain_[slot];
         std::size_t pkt = 0;
         std::size_t lost_pkts = 0;
@@ -258,7 +291,13 @@ void SessionPool::run_window_range(std::size_t begin, std::size_t end,
             if (run.lost) {
                 any_loss = true;
                 lost_pkts += len;
-                set_bits(tx, pkt / f_, (pkt + len - 1) / f_);
+                const std::size_t lo = pkt / f_;
+                const std::size_t hi = (pkt + len - 1) / f_;
+                if constexpr (OneWord) {
+                    tx1 |= span_bits(lo, hi);
+                } else {
+                    set_bits(tx, lo, hi);
+                }
             }
             pkt += len;
         }
@@ -324,16 +363,28 @@ void SessionPool::run_window_range(std::size_t begin, std::size_t end,
         std::size_t clf = 0;
         std::size_t losses = 0;
         bool recovered = false;
+        std::uint64_t pb1 = 0;
         if (any_loss) {
-            losses = count_set_bits(tx, words_);
-            obs = max_set_run(tx, words_);
+            if constexpr (OneWord) {
+                losses = static_cast<std::size_t>(std::popcount(tx1));
+                obs = max_set_run_word(tx1);
+            } else {
+                losses = count_set_bits(tx, words_);
+                obs = max_set_run(tx, words_);
+            }
             if (fec_on && fec_survived >= lost_pkts) {
                 recovered = true;
                 losses = 0;
             } else if (cfg_.spread) {
-                std::fill_n(pb, words_, std::uint64_t{0});
-                perms_[bound].scatter_set_bits(tx, pb, words_);
-                clf = max_set_run(pb, words_);
+                if constexpr (OneWord) {
+                    pb1 = Permutation::scatter_word(lut + bound * 16 * nibbles,
+                                                    nibbles, tx1);
+                    clf = max_set_run_word(pb1);
+                } else {
+                    std::fill_n(pb, words_, std::uint64_t{0});
+                    perms_[bound].scatter_set_bits(tx, pb, words_);
+                    clf = max_set_run(pb, words_);
+                }
             } else {
                 clf = obs;
             }
@@ -373,6 +424,10 @@ void SessionPool::run_window_range(std::size_t begin, std::size_t end,
         }
         windows_run_[slot] = w + 1;
         if (tel != nullptr && any_loss && !recovered) {
+            if constexpr (OneWord) {
+                tx[0] = tx1;
+                pb[0] = pb1;
+            }
             record_loss_runs(cfg_.spread ? pb : tx, words_, *tel);
         }
 

@@ -51,10 +51,12 @@ struct ShardCounters {
     std::uint64_t nack_windows_proactive = 0;
 };
 
-/// Per-shard working memory: the packed loss-mask scratch words plus the
-/// shard's totals and distribution accumulators.  All counts are
-/// integers, and histograms are flat arrays merged by addition, so
-/// folding shards in index order yields grouping-independent totals.
+/// Per-shard working memory: the packed loss-mask scratch words (read by
+/// the telemetry loss-run scan; windows wider than 64 LDUs also mark and
+/// scatter in them) plus the shard's totals and distribution
+/// accumulators.  All counts are integers, and histograms are flat arrays
+/// merged by addition, so folding shards in index order yields
+/// grouping-independent totals.
 /// Cache-line aligned so adjacent shards never share a line.
 struct alignas(64) ShardScratch {
     std::vector<std::uint64_t> tx_words;   ///< transmission-order loss bits
@@ -132,11 +134,13 @@ public:
 
     /// Runs one buffer window for every occupied slot in [begin, end):
     /// pending feedback -> Eq. 1 bound -> batched Gilbert runs marked into
-    /// packed tx words -> permutation scatter into playback words ->
-    /// word-at-a-time CLF/ALF accounting -> ACK across the feedback
-    /// channel -> churn bookkeeping.  Touches only slot state in the range
-    /// and `s`; never allocates.  When `s.telemetry` is set, the range ends
-    /// by mirroring the shard's totals and histograms into that slab.
+    /// a transmission-order loss mask -> permutation scatter into playback
+    /// order -> CLF/ALF accounting -> ACK across the feedback channel ->
+    /// churn bookkeeping.  Windows of n <= 64 LDUs keep both masks in one
+    /// register (nibble-table scatter, shift-and CLF); wider windows use
+    /// the scratch words.  Touches only slot state in the range and `s`;
+    /// never allocates.  When `s.telemetry` is set, the range ends by
+    /// mirroring the shard's totals and histograms into that slab.
     void run_window_range(std::size_t begin, std::size_t end,
                           ShardScratch& s) noexcept;
 
@@ -158,15 +162,32 @@ private:
     /// them) and resets its window state.
     void spawn(std::size_t slot);
 
+    /// run_window_range's one window loop.  OneWord (words_ == 1) holds a
+    /// window's loss masks in registers; otherwise they live in the
+    /// scratch words.  The two differ only in marking, counting and
+    /// scattering a mask.
+    template <bool OneWord>
+    void run_range(std::size_t begin, std::size_t end,
+                   ShardScratch& s) noexcept;
+
     EngineConfig cfg_;
     std::size_t capacity_ = 0;
     std::size_t n_ = 0;      ///< LDUs per window
     std::size_t f_ = 0;      ///< packets per LDU
     std::size_t words_ = 0;  ///< 64-bit words covering n_ bits
 
-    /// perms_[b] = calculate_permutation(n, b) for b in 1..n (index 0
-    /// unused); built once so the hot path never recomputes an order.
+    /// The k-CPO order of every bound, built once so the hot path never
+    /// recomputes one, in the form the window width scatters with (both
+    /// empty when spreading is off).  n > 64: perms_[b] =
+    /// calculate_permutation(n, b).perm for b in 1..n (index 0 unused).
     std::vector<Permutation> perms_;
+
+    /// n <= 64: row b, the 16 * nibbles_ words from
+    /// scatter_lut_[b * 16 * nibbles_], is that order's
+    /// fill_nibble_table() (row 0 unused).  About 19 KB at n = 24, so the
+    /// rows stay L1-resident.
+    std::vector<std::uint64_t> scatter_lut_;
+    std::size_t nibbles_ = 0;  ///< Permutation::nibbles(n_)
 
     /// One immutable loss model per direction, shared by every slot's
     /// chain (validated params plus the dwell tables).

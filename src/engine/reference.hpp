@@ -3,8 +3,10 @@
 // One session, simulated the straightforward way: a real BurstEstimator,
 // a fresh calculate_permutation per window, LossMask vectors, and one
 // GilbertLoss::drop_next() per packet.  test_engine pins the batched SoA
-// hot path (bit-range marking, scatter_set_bits, max_set_run) against
-// this implementation window by window, so any divergence in the
+// hot path against this implementation window by window, at window sizes
+// on both sides of 64 LDUs: the one-register kernel (span marking,
+// nibble-table scatter, shift-and CLF) and the multi-word one (bit-range
+// marking, scatter_set_bits, max_set_run).  Any divergence in the
 // engine's word-level tricks fails loudly.
 #pragma once
 

@@ -94,52 +94,63 @@ TEST(Engine, ChurnDeterminism) {
     EXPECT_GT(sa.idle_windows, 0u);
 }
 
+// Window sizes that pin both loss-mask widths: n <= 64 runs the
+// one-register kernel (64 also covers the 2 << 63 wrap of its span
+// marking), n = 65 is the first multi-word window, and 130 spans three
+// words.
+constexpr std::size_t kMaskWidths[] = {1, 7, 24, 63, 64, 65, 130};
+
 // A single session with churn disabled must reproduce the scalar
 // reference implementation exactly: same per-window CLF distribution,
 // same bounds, same loss and ACK counts.  This pins every word-level
-// trick in the hot path (batched Gilbert runs, bit-range marking,
-// scatter_set_bits, max_set_run) against the naive loop.
+// trick in the hot path (batched Gilbert runs, bit-range marking, the
+// nibble-table scatter and shift-and CLF of one-word windows, and
+// scatter_set_bits / max_set_run of wider ones) against the naive loop.
 TEST(Engine, PoolOfOneMatchesReference) {
-    EngineConfig cfg;
-    cfg.sessions = 1;
-    cfg.shards = 1;
-    cfg.window_ldus = 24;
-    cfg.packets_per_ldu = 2;
-    cfg.feedback_loss = {0.9, 0.5};
-    cfg.seed = 77;
-    constexpr std::size_t kWindows = 200;
+    for (const std::size_t n : kMaskWidths) {
+        SCOPED_TRACE(n);
+        EngineConfig cfg;
+        cfg.sessions = 1;
+        cfg.shards = 1;
+        cfg.window_ldus = n;
+        cfg.packets_per_ldu = 2;
+        cfg.feedback_loss = {0.9, 0.5};
+        cfg.seed = 77;
+        constexpr std::size_t kWindows = 200;
 
-    ShardedEngine engine(cfg);
-    engine.run(kWindows);
-    const EngineSummary s = engine.summary();
+        ShardedEngine engine(cfg);
+        engine.run(kWindows);
+        const EngineSummary s = engine.summary();
 
-    const ReferenceTrace ref = run_reference_session(cfg, 0, kWindows);
-    ASSERT_EQ(ref.window_clf.size(), kWindows);
+        const ReferenceTrace ref = run_reference_session(cfg, 0, kWindows);
+        ASSERT_EQ(ref.window_clf.size(), kWindows);
 
-    EXPECT_EQ(s.windows, kWindows);
-    EXPECT_EQ(s.unit_losses, ref.unit_losses);
-    EXPECT_EQ(s.acks_delivered, ref.acks_delivered);
-    EXPECT_EQ(s.acks_lost, ref.acks_lost);
-    EXPECT_EQ(s.clf_max,
-              *std::max_element(ref.window_clf.begin(), ref.window_clf.end()));
-    for (std::size_t w = 0; w < kWindows; ++w) {
-        SCOPED_TRACE(w);
-        // Every reference window's CLF and bound must appear in the
-        // engine histograms with matching multiplicity.
-        const auto clf = static_cast<std::int64_t>(ref.window_clf[w]);
-        const auto count_in = [&](const std::vector<std::size_t>& xs,
-                                  std::size_t v) {
-            return static_cast<std::size_t>(std::count(xs.begin(), xs.end(), v));
-        };
-        EXPECT_EQ(s.clf_histogram.count(clf),
-                  count_in(ref.window_clf, ref.window_clf[w]));
-        const auto bound = static_cast<std::int64_t>(ref.window_bound[w]);
-        EXPECT_EQ(s.bound_histogram.count(bound),
-                  count_in(ref.window_bound, ref.window_bound[w]));
+        EXPECT_EQ(s.windows, kWindows);
+        EXPECT_EQ(s.unit_losses, ref.unit_losses);
+        EXPECT_EQ(s.acks_delivered, ref.acks_delivered);
+        EXPECT_EQ(s.acks_lost, ref.acks_lost);
+        EXPECT_EQ(s.clf_max, *std::max_element(ref.window_clf.begin(),
+                                               ref.window_clf.end()));
+        for (std::size_t w = 0; w < kWindows; ++w) {
+            SCOPED_TRACE(w);
+            // Every reference window's CLF and bound must appear in the
+            // engine histograms with matching multiplicity.
+            const auto clf = static_cast<std::int64_t>(ref.window_clf[w]);
+            const auto count_in = [&](const std::vector<std::size_t>& xs,
+                                      std::size_t v) {
+                return static_cast<std::size_t>(
+                    std::count(xs.begin(), xs.end(), v));
+            };
+            EXPECT_EQ(s.clf_histogram.count(clf),
+                      count_in(ref.window_clf, ref.window_clf[w]));
+            const auto bound = static_cast<std::int64_t>(ref.window_bound[w]);
+            EXPECT_EQ(s.bound_histogram.count(bound),
+                      count_in(ref.window_bound, ref.window_bound[w]));
+        }
+        const double clf_sum = std::accumulate(
+            ref.window_clf.begin(), ref.window_clf.end(), 0.0);
+        EXPECT_DOUBLE_EQ(s.clf_mean, clf_sum / static_cast<double>(kWindows));
     }
-    const double clf_sum = std::accumulate(
-        ref.window_clf.begin(), ref.window_clf.end(), 0.0);
-    EXPECT_DOUBLE_EQ(s.clf_mean, clf_sum / static_cast<double>(kWindows));
 }
 
 // When a slot is reused after a departure, the new occupant draws from
@@ -317,6 +328,18 @@ TEST(Engine, GovernorLiteSlewLimitCannotWrap) {
     }
 }
 
+// The same invariance on the first multi-word window (n = 65), so the
+// scratch-word path is pinned across shard counts as well as the
+// one-register path of the n = 24 cases.
+TEST(Engine, MultiWordShardCountInvariance) {
+    EngineConfig cfg = churny_config();
+    cfg.window_ldus = 65;
+    const std::string one = run_to_json(cfg, 1, 64);
+    EXPECT_EQ(one, run_to_json(cfg, 2, 64));
+    EXPECT_EQ(one, run_to_json(cfg, 7, 64));
+    EXPECT_EQ(one, run_to_json(cfg, 8, 64));
+}
+
 // Shard invariance holds with supervision enabled: governor state lives
 // per slot, so cutting the slot axis differently cannot change it.
 TEST(Engine, GovernedShardCountInvariance) {
@@ -353,37 +376,44 @@ TEST(Engine, CodedShardCountInvariance) {
 // repair survival draws, the all-or-nothing recovery decision, and the
 // untouched transmission-order feedback all line up.
 TEST(Engine, CodedPoolOfOneMatchesReference) {
-    EngineConfig cfg;
-    cfg.sessions = 1;
-    cfg.shards = 1;
-    cfg.window_ldus = 24;
-    cfg.packets_per_ldu = 2;
-    cfg.feedback_loss = {0.9, 0.5};
-    cfg.fec.enabled = true;
-    cfg.fec.overhead_num = 1;
-    cfg.fec.overhead_den = 4;
-    cfg.seed = 123;
-    constexpr std::size_t kWindows = 200;
+    for (const std::size_t n : kMaskWidths) {
+        SCOPED_TRACE(n);
+        EngineConfig cfg;
+        cfg.sessions = 1;
+        cfg.shards = 1;
+        cfg.window_ldus = n;
+        cfg.packets_per_ldu = 2;
+        cfg.feedback_loss = {0.9, 0.5};
+        cfg.fec.enabled = true;
+        cfg.fec.overhead_num = 1;
+        cfg.fec.overhead_den = 4;
+        cfg.seed = 123;
+        constexpr std::size_t kWindows = 200;
 
-    ShardedEngine engine(cfg);
-    engine.run(kWindows);
-    const EngineSummary s = engine.summary();
+        ShardedEngine engine(cfg);
+        engine.run(kWindows);
+        const EngineSummary s = engine.summary();
 
-    const ReferenceTrace ref = run_reference_session(cfg, 0, kWindows);
-    EXPECT_EQ(s.windows, kWindows);
-    EXPECT_EQ(s.unit_losses, ref.unit_losses);
-    EXPECT_EQ(s.acks_delivered, ref.acks_delivered);
-    EXPECT_EQ(s.acks_lost, ref.acks_lost);
-    EXPECT_EQ(s.fec_repair_packets, ref.fec_repair_packets);
-    EXPECT_EQ(s.fec_windows_recovered, ref.fec_windows_recovered);
-    EXPECT_EQ(s.clf_max,
-              *std::max_element(ref.window_clf.begin(), ref.window_clf.end()));
-    // The arm must actually fire in both directions on this channel.
-    EXPECT_GT(s.fec_windows_recovered, 0u);
-    EXPECT_GT(s.fec_windows_unrecovered, 0u);
-    const double clf_sum = std::accumulate(
-        ref.window_clf.begin(), ref.window_clf.end(), 0.0);
-    EXPECT_DOUBLE_EQ(s.clf_mean, clf_sum / static_cast<double>(kWindows));
+        const ReferenceTrace ref = run_reference_session(cfg, 0, kWindows);
+        EXPECT_EQ(s.windows, kWindows);
+        EXPECT_EQ(s.unit_losses, ref.unit_losses);
+        EXPECT_EQ(s.acks_delivered, ref.acks_delivered);
+        EXPECT_EQ(s.acks_lost, ref.acks_lost);
+        EXPECT_EQ(s.fec_repair_packets, ref.fec_repair_packets);
+        EXPECT_EQ(s.fec_windows_recovered, ref.fec_windows_recovered);
+        EXPECT_EQ(s.clf_max, *std::max_element(ref.window_clf.begin(),
+                                               ref.window_clf.end()));
+        // The arm must actually fire in both directions on this channel
+        // wherever the window carries a repair packet (n = 1 has none).
+        if (n * cfg.packets_per_ldu * cfg.fec.overhead_num >=
+            cfg.fec.overhead_den) {
+            EXPECT_GT(s.fec_windows_recovered, 0u);
+        }
+        EXPECT_GT(s.fec_windows_unrecovered, 0u);
+        const double clf_sum = std::accumulate(
+            ref.window_clf.begin(), ref.window_clf.end(), 0.0);
+        EXPECT_DOUBLE_EQ(s.clf_mean, clf_sum / static_cast<double>(kWindows));
+    }
 }
 
 // Shard invariance holds with the NACK-lite receiver-driven arm on top of

@@ -116,6 +116,30 @@ TEST(RawWordMetrics, MatchScalarMetricsOnRandomMasks) {
     }
 }
 
+// The engine's one-word CLF (shift-and rounds) must equal max_set_run on
+// a single word: the edge words, then random words of low, medium and
+// high density so long runs and runs touching either end both occur.
+TEST(RawWordMetrics, ShiftAndRunMatchesMaxSetRun) {
+    const auto check = [](std::uint64_t x) {
+        EXPECT_EQ(espread::max_set_run_word(x), espread::max_set_run(&x, 1))
+            << std::hex << "x=0x" << x;
+    };
+    check(0);
+    check(~std::uint64_t{0});
+    check(std::uint64_t{1} << 63);
+    check(0x5555555555555555ULL);
+    check(~std::uint64_t{0} >> 1);
+    espread::sim::Rng rng(19);
+    for (int trial = 0; trial < 10000; ++trial) {
+        const std::uint64_t a = rng.next_u64();
+        const std::uint64_t b = rng.next_u64();
+        const std::uint64_t c = rng.next_u64();
+        check(a);
+        check(a & b & c);
+        check(a | b | c);
+    }
+}
+
 TEST(RawWordMetrics, AllSetAndAllClearWords) {
     const std::vector<std::uint64_t> clear(3, 0);
     EXPECT_EQ(espread::max_set_run(clear.data(), clear.size()), 0u);

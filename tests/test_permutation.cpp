@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "core/cpo.hpp"
 #include "core/interleaver.hpp"
 #include "sim/rng.hpp"
 
@@ -124,6 +125,41 @@ TEST(Permutation, ScatterSetBitsMatchesUnapply) {
                 const bool bit = ((dst[i >> 6] >> (i & 63)) & 1u) != 0;
                 ASSERT_EQ(bit, playback_lost[i])
                     << "n=" << n << " trial=" << trial << " slot=" << i;
+            }
+        }
+    }
+}
+
+// The engine's one-word scatter (one nibble-table lookup per nibble) must
+// equal scatter_set_bits for every k-CPO order it can be handed: every
+// n in 1..64 and every bound 1..n, on every single-bit mask, the all-ones
+// mask and 10^4 seeded random masks.
+TEST(Permutation, NibbleScatterMatchesScatterSetBits) {
+    espread::sim::Rng rng(23);
+    std::vector<std::uint64_t> table;
+    for (std::size_t n = 1; n <= 64; ++n) {
+        const std::uint64_t all =
+            n == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
+        const std::size_t count = Permutation::nibbles(n);
+        table.assign(16 * count, 0);
+        for (std::size_t b = 1; b <= n; ++b) {
+            const Permutation p = espread::calculate_permutation(n, b).perm;
+            p.fill_nibble_table(table.data());
+            const auto agrees = [&](std::uint64_t src) {
+                std::uint64_t want = 0;
+                p.scatter_set_bits(&src, &want, 1);
+                return Permutation::scatter_word(table.data(), count, src) ==
+                       want;
+            };
+            for (std::size_t i = 0; i < n; ++i) {
+                ASSERT_TRUE(agrees(std::uint64_t{1} << i))
+                    << "n=" << n << " b=" << b << " bit=" << i;
+            }
+            ASSERT_TRUE(agrees(all)) << "n=" << n << " b=" << b;
+            for (int trial = 0; trial < 10000; ++trial) {
+                const std::uint64_t src = rng.next_u64() & all;
+                ASSERT_TRUE(agrees(src))
+                    << "n=" << n << " b=" << b << std::hex << " src=0x" << src;
             }
         }
     }
