@@ -1,8 +1,8 @@
 // Governor-lite: the engine's per-slot supervision state machine.
 //
 // One inline step function shared verbatim by the SoA pool hot path and
-// the scalar reference (engine/reference.cpp), so test_engine can pin the
-// governed window loop the same way it pins the ungoverned one.  The
+// the scalar reference (tests/engine_reference.cpp), so test_engine can
+// pin the governed window loop the same way it pins the ungoverned one.  The
 // machine watches the Fig. 6 feedback pipeline: a window whose pending
 // cell is empty when it comes due is a "miss".
 //

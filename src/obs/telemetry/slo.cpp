@@ -17,11 +17,28 @@ const char* slo_signal_name(SloSignal s) noexcept {
 }
 
 bool parse_slo_signal(const std::string& name, SloSignal& out) noexcept {
-    if (name == "clf") { out = SloSignal::kClf; return true; }
-    if (name == "loss_run") { out = SloSignal::kLossRun; return true; }
-    if (name == "bound") { out = SloSignal::kBound; return true; }
-    if (name == "governor_dwell") { out = SloSignal::kGovernorDwell; return true; }
+    for (const SloSignal s : kSloSignals) {
+        if (name == slo_signal_name(s)) {
+            out = s;
+            return true;
+        }
+    }
     return false;
+}
+
+SignalHistograms signal_histograms(SloSignal s) noexcept {
+    switch (s) {
+        case SloSignal::kClf:
+            return {&FleetSnapshot::clf, &FleetSnapshot::clf_delta};
+        case SloSignal::kLossRun:
+            return {&FleetSnapshot::loss_run, &FleetSnapshot::loss_run_delta};
+        case SloSignal::kBound:
+            return {&FleetSnapshot::bound, &FleetSnapshot::bound_delta};
+        case SloSignal::kGovernorDwell:
+            return {&FleetSnapshot::governor_dwell,
+                    &FleetSnapshot::governor_dwell_delta};
+    }
+    return {&FleetSnapshot::clf, &FleetSnapshot::clf_delta};
 }
 
 const char* slo_health_name(SloHealth h) noexcept {
@@ -52,20 +69,6 @@ void SloObjective::validate() const {
             "SloObjective: burn thresholds must be positive");
     }
 }
-
-namespace {
-
-const QuantileHistogram& signal_delta(const FleetSnapshot& s, SloSignal sig) {
-    switch (sig) {
-        case SloSignal::kClf: return s.clf_delta;
-        case SloSignal::kLossRun: return s.loss_run_delta;
-        case SloSignal::kBound: return s.bound_delta;
-        case SloSignal::kGovernorDwell: return s.governor_dwell_delta;
-    }
-    return s.clf_delta;
-}
-
-}  // namespace
 
 SloEvaluator::SloEvaluator(std::vector<SloObjective> objectives,
                            TraceSink* sink)
@@ -116,7 +119,7 @@ void SloEvaluator::on_snapshot(const FleetSnapshot& s) {
 
     for (std::size_t i = 0; i < objectives_.size(); ++i) {
         const SloObjective& o = objectives_[i];
-        const QuantileHistogram& h = signal_delta(s, o.signal);
+        const QuantileHistogram& h = s.*signal_histograms(o.signal).delta;
         EpochSample sample;
         sample.total = h.total();
         sample.bad = h.total() - h.count_le(o.threshold);

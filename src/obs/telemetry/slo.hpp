@@ -40,12 +40,26 @@ enum class SloSignal {
     kGovernorDwell,  ///< windows per completed governor state visit
 };
 
+/// Every signal, in snapshot-series and Prometheus exposition order.
+inline constexpr SloSignal kSloSignals[] = {
+    SloSignal::kClf, SloSignal::kLossRun, SloSignal::kBound,
+    SloSignal::kGovernorDwell};
+
+/// The one spelling of a signal's name: the --slo spec, the
+/// snapshot-series histogram keys (`<name>` and `<name>_delta`) and the
+/// Prometheus histogram all use it.
 const char* slo_signal_name(SloSignal s) noexcept;
 
-/// Parses a signal name as printed by slo_signal_name ("clf",
-/// "loss_run", "bound", "governor_dwell").  Returns false on unknown
-/// names, leaving `out` untouched.
+/// Parses a signal name as printed by slo_signal_name.  Returns false on
+/// unknown names, leaving `out` untouched.
 bool parse_slo_signal(const std::string& name, SloSignal& out) noexcept;
+
+/// A signal's two FleetSnapshot histograms: cumulative and this epoch's.
+struct SignalHistograms {
+    QuantileHistogram FleetSnapshot::*total;
+    QuantileHistogram FleetSnapshot::*delta;
+};
+SignalHistograms signal_histograms(SloSignal s) noexcept;
 
 /// One objective: "at quantile q, `signal` stays <= threshold", plus the
 /// two burn-rate windows that decide how fast budget may be spent.

@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "exp/json.hpp"
+#include "obs/telemetry/slo.hpp"
 #include "sim/contracts.hpp"
 
 namespace espread::obs::telemetry {
@@ -98,22 +99,14 @@ void append_snapshot(exp::JsonWriter& json, const FleetSnapshot& s) {
     append_counters(json, s.totals);
     json.key("delta");
     append_counters(json, s.delta);
-    json.key("clf");
-    append_quantile_histogram(json, s.clf);
-    json.key("loss_run");
-    append_quantile_histogram(json, s.loss_run);
-    json.key("bound");
-    append_quantile_histogram(json, s.bound);
-    json.key("governor_dwell");
-    append_quantile_histogram(json, s.governor_dwell);
-    json.key("clf_delta");
-    append_quantile_histogram(json, s.clf_delta);
-    json.key("loss_run_delta");
-    append_quantile_histogram(json, s.loss_run_delta);
-    json.key("bound_delta");
-    append_quantile_histogram(json, s.bound_delta);
-    json.key("governor_dwell_delta");
-    append_quantile_histogram(json, s.governor_dwell_delta);
+    for (const SloSignal sig : kSloSignals) {
+        json.key(slo_signal_name(sig));
+        append_quantile_histogram(json, s.*signal_histograms(sig).total);
+    }
+    for (const SloSignal sig : kSloSignals) {
+        json.key(std::string(slo_signal_name(sig)) + "_delta");
+        append_quantile_histogram(json, s.*signal_histograms(sig).delta);
+    }
     json.end_object();
 }
 
@@ -192,13 +185,10 @@ std::string prometheus_text(const FleetSnapshot& s, const std::string& prefix) {
         out += contracts::kGovernorStateNames[st];
         out += "\"} " + std::to_string(s.totals.governor_windows[st]) + "\n";
     }
-    // Histogram names are the four telemetry signal names (contracts.hpp
-    // kTelemetrySignalNames), matching the snapshot-series keys and the
-    // SLO objective spec — previously drifted as window_clf/bound_used.
-    prom_histogram(out, prefix, "clf", s.clf);
-    prom_histogram(out, prefix, "loss_run", s.loss_run);
-    prom_histogram(out, prefix, "bound", s.bound);
-    prom_histogram(out, prefix, "governor_dwell", s.governor_dwell);
+    for (const SloSignal sig : kSloSignals) {
+        prom_histogram(out, prefix, slo_signal_name(sig),
+                       s.*signal_histograms(sig).total);
+    }
     return out;
 }
 

@@ -1,17 +1,11 @@
-// Fixture registry: one live and one dead entry per contract kind.
+// Fixture registry: one live lane and two dead ones, one of them parked.
 #pragma once
 #include <cstdint>
-#include <string_view>
 
 namespace espread::contracts {
 
 inline constexpr std::uint64_t kSessionLaneUsed = 1;
 inline constexpr std::uint64_t kSessionLaneDead = 2;
 inline constexpr std::uint64_t kSessionLaneParked = 3;  // espread-lint: allow(C5) reserved for the bandwidth estimator
-
-inline constexpr std::string_view kSessionMetricNames[] = {
-    "used_metric",
-    "dead_metric",
-};
 
 }  // namespace espread::contracts

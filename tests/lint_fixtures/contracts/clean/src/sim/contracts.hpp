@@ -1,16 +1,11 @@
 // Fixture registry: fully consistent with its mini tree.
 #pragma once
 #include <cstdint>
-#include <string_view>
 
 namespace espread::contracts {
 
 inline constexpr std::uint64_t kSessionLaneData = 1;
 
 inline constexpr std::uint8_t kWireTagData = 1;
-
-inline constexpr std::string_view kSessionMetricNames[] = {
-    "good_metric",
-};
 
 }  // namespace espread::contracts

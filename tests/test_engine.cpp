@@ -19,7 +19,7 @@
 
 #include "engine/config.hpp"
 #include "engine/pool.hpp"
-#include "engine/reference.hpp"
+#include "engine_reference.hpp"
 
 namespace {
 

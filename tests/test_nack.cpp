@@ -18,6 +18,7 @@
 #include <array>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -410,6 +411,42 @@ TEST(RecoverySessionTest, DisabledPlaneMatchesPreRecoveryGoldens) {
                 << "leaked key " << name;
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Metric names.  Each name is spelled once, at its add_counter / histogram
+// site in session.cpp, so this pin is what catches a rename: FNV-1a over
+// the sorted counter names, then the sorted histogram names, of one
+// registry with every gated group (impairment, RLC, governor, recovery)
+// on.  The values are left out; only the exported names are pinned.
+
+TEST(SessionMetricNames, EveryGroupOnNameSetIsPinned) {
+    SessionConfig cfg = impaired_config(26);
+    cfg.recovery.enabled = true;
+    ASSERT_TRUE(cfg.data_impairment.active());
+    ASSERT_TRUE(cfg.rlc_active());
+
+    const SessionResult r = run_session(cfg);
+    std::uint64_t h = 1469598103934665603ull;
+    const auto mix_name = [&h](const std::string& name) {
+        for (const char c : name) {
+            h ^= static_cast<unsigned char>(c);
+            h *= 1099511628211ull;
+        }
+        h ^= '\n';  // separator: "ab","c" and "a","bc" must differ
+        h *= 1099511628211ull;
+    };
+    for (const auto& [name, value] : r.metrics.counters()) {
+        (void)value;
+        mix_name(name);
+    }
+    for (const auto& [name, hist] : r.metrics.histograms()) {
+        (void)hist;
+        mix_name(name);
+    }
+    EXPECT_EQ(r.metrics.counters().size(), 70u);
+    EXPECT_EQ(r.metrics.histograms().size(), 9u);
+    EXPECT_EQ(h, 0xC9312D53874DDA1Dull);
 }
 
 }  // namespace

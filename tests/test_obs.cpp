@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -16,6 +17,7 @@
 
 #include "exp/json.hpp"
 #include "obs/metrics.hpp"
+#include "obs/telemetry/slo.hpp"
 #include "protocol/session.hpp"
 #include "json_check.hpp"
 
@@ -169,6 +171,36 @@ TEST(ChromeTrace, WritesLoadableFile) {
     ss << in.rdbuf();
     EXPECT_TRUE(is_valid_json(ss.str()));
     EXPECT_NE(ss.str().find("\"PacketSent\""), std::string::npos);
+}
+
+// Trace event and actor labels and SLO health names are each spelled once,
+// in their name function; this pins every label in enum order (FNV-1a,
+// one '\n' after each) so a rename fails here.
+TEST(TraceLabels, EveryEventActorAndHealthLabelIsPinned) {
+    using espread::obs::telemetry::SloHealth;
+    std::uint64_t h = 1469598103934665603ull;
+    std::set<std::string> seen;
+    const auto mix_label = [&](const char* label) {
+        seen.insert(label);
+        for (const char* c = label; *c != '\0'; ++c) {
+            h ^= static_cast<unsigned char>(*c);
+            h *= 1099511628211ull;
+        }
+        h ^= '\n';
+        h *= 1099511628211ull;
+    };
+    for (int e = 0; e <= static_cast<int>(EventType::kRepairShed); ++e) {
+        mix_label(espread::obs::event_name(static_cast<EventType>(e)));
+    }
+    for (int a = 0; a <= static_cast<int>(Actor::kGateway); ++a) {
+        mix_label(espread::obs::actor_name(static_cast<Actor>(a)));
+    }
+    for (int k = 0; k <= static_cast<int>(SloHealth::kBreached); ++k) {
+        mix_label(espread::obs::telemetry::slo_health_name(
+            static_cast<SloHealth>(k)));
+    }
+    EXPECT_EQ(seen.size(), 25u + 5u + 3u);  // no label is shared
+    EXPECT_EQ(h, 0xAA1A709DBC9F078Full);
 }
 
 TEST(MetricsRegistry, CountersAccumulate) {

@@ -218,6 +218,8 @@ TEST(ReportCli, ExitCodesCoverHealthyBreachedAndErrorPaths) {
     EXPECT_EQ(espread::report::run_report_cli({path, "--slo"}, out), 1);
     EXPECT_EQ(
         espread::report::run_report_cli({path, "--slo", "x,clf"}, out), 1);
+    EXPECT_EQ(
+        espread::report::run_report_cli({path, "--slo", "x,bogus,4"}, out), 1);
     EXPECT_EQ(espread::report::run_report_cli({"/nonexistent.json"}, out), 1);
     const std::string bad =
         write_fixture("report_bad.json", "{\"format\":1,");

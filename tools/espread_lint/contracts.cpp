@@ -1,6 +1,6 @@
-// Cross-TU contract extraction and checking (rules C1-C5) plus the shared
-// tree scanner (scan_tree) both rule groups run under.  See contracts.hpp
-// for the rule catalogue and DESIGN.md §14 for the workflow.
+// Cross-TU contract extraction and checking (rules C1, C2, C4, C5) plus
+// the shared tree scanner (scan_tree) both rule groups run under.  See
+// contracts.hpp for the rule catalogue and DESIGN.md §14 for the workflow.
 #include "contracts.hpp"
 
 #include <algorithm>
@@ -59,9 +59,8 @@ std::string last_component(const std::string& expr) {
 
 struct SplitSite {
     std::size_t line = 0;  // 0-based
-    bool is_literal = false;
-    std::uint64_t value = 0;
-    std::string name;  // ident arg (unqualified), empty if unparseable
+    std::string literal;   // integer arg as written, or empty
+    std::string name;      // ident arg (unqualified), empty if unparseable
 };
 
 /// Every `.split(<arg>)` call site; wrapped argument lists are joined
@@ -86,8 +85,7 @@ std::vector<SplitSite> split_sites(const Stripped& s) {
             SplitSite site;
             site.line = i;
             if (all_digits(arg)) {
-                site.is_literal = true;
-                site.value = std::stoull(arg);
+                site.literal = arg;
                 out.push_back(site);
             } else {
                 site.name = last_component(arg);
@@ -98,23 +96,33 @@ std::vector<SplitSite> split_sites(const Stripped& s) {
     return out;
 }
 
+/// Parses a run of decimal digits; false if the value does not fit in 64
+/// bits (std::stoull would throw).
+bool parse_u64(const std::string& digits, std::uint64_t* out) {
+    std::uint64_t v = 0;
+    for (const char c : digits) {
+        const auto d = static_cast<std::uint64_t>(c - '0');
+        if (v > (UINT64_MAX - d) / 10) return false;
+        v = v * 10 + d;
+    }
+    *out = v;
+    return true;
+}
+
 struct NamedValue {
     std::size_t line = 0;
     std::string name;
+    std::string literal;  // the initializer as written
     std::uint64_t value = 0;
+    bool fits = true;  // false when `literal` overflows 64 bits
 };
 
-struct TableDecl {
-    std::size_t line = 0;
-    std::vector<StringLit> entries;
-};
-
-/// Constant and table declarations in registry style, mined from any file
-/// (outside the registry they are themselves findings).
+/// Constant declarations in registry style, mined from any file (outside
+/// the registry they are themselves findings), plus the gate-key table.
 struct RegistryFacts {
     std::vector<NamedValue> lanes;  // k<Family>Lane<Name>
     std::vector<NamedValue> tags;   // kWireTag<Name>
-    std::map<std::string, TableDecl> tables;  // configured table names only
+    std::optional<std::vector<StringLit>> gate_keys;
 };
 
 /// The identifier being declared on a `constexpr ... name[...] = ...` or
@@ -154,7 +162,7 @@ bool is_tag_name(const std::string& name) {
 }
 
 RegistryFacts extract_registry(const Stripped& s,
-                               const std::set<std::string>& table_names) {
+                               const std::string& gate_key_table) {
     RegistryFacts out;
     for (std::size_t i = 0; i < s.code.size(); ++i) {
         const std::string& line = s.code[i];
@@ -162,19 +170,19 @@ RegistryFacts extract_registry(const Stripped& s,
         bool is_array = false;
         const std::string name = declared_name(line, &is_array);
         if (name.empty()) continue;
-        if (is_array && table_names.count(name) != 0) {
+        if (is_array && name == gate_key_table) {
             // Collect entry strings up to the terminating ';'.
             std::size_t end = i;
             while (end < s.code.size() &&
                    s.code[end].find(';') == std::string::npos) {
                 ++end;
             }
-            TableDecl t;
-            t.line = i;
+            out.gate_keys.emplace();
             for (const StringLit& lit : s.strings) {
-                if (lit.line >= i && lit.line <= end) t.entries.push_back(lit);
+                if (lit.line >= i && lit.line <= end) {
+                    out.gate_keys->push_back(lit);
+                }
             }
-            out.tables[name] = t;
             i = end;
             continue;
         }
@@ -194,7 +202,11 @@ RegistryFacts extract_registry(const Stripped& s,
                std::isdigit(static_cast<unsigned char>(line[d])) != 0)
             ++d;
         if (d == v) continue;  // alias or expression initializer: no fact
-        NamedValue nv{i, name, std::stoull(line.substr(v, d - v))};
+        NamedValue nv;
+        nv.line = i;
+        nv.name = name;
+        nv.literal = line.substr(v, d - v);
+        nv.fits = parse_u64(nv.literal, &nv.value);
         if (tag) {
             out.tags.push_back(nv);
         } else {
@@ -207,8 +219,7 @@ RegistryFacts extract_registry(const Stripped& s,
 struct WireEnumEntry {
     std::size_t line = 0;
     std::string enumerator;
-    bool is_literal = false;
-    std::uint64_t value = 0;
+    std::string literal;  // integer initializer as written, or empty
     std::string init_name;
 };
 
@@ -237,8 +248,7 @@ std::vector<WireEnumEntry> wire_enum_entries(const Stripped& s,
         if (!init.empty() && init.back() == ',') init.pop_back();
         init = trim(init);
         if (all_digits(init)) {
-            entry.is_literal = true;
-            entry.value = std::stoull(init);
+            entry.literal = init;
         } else {
             entry.init_name = last_component(init);
         }
@@ -247,14 +257,10 @@ std::vector<WireEnumEntry> wire_enum_entries(const Stripped& s,
     return out;
 }
 
-/// String literals appearing as an argument of `<prefix-char><fn>(`:
-/// either the first argument (immediately after the open paren, spilling
-/// to the next line for wrapped calls), or — with `anywhere` — the first
-/// literal after the call token on the same line (for helpers whose name
-/// argument is not first, like prom_counter).
-std::vector<StringLit> call_literals(const Stripped& s, const std::string& fn,
-                                     const char* prefix_chars,
-                                     bool anywhere = false) {
+/// String literals given as the first argument of a member call `.<fn>(`
+/// (immediately after the open paren, spilling to the next line for
+/// wrapped calls).
+std::vector<StringLit> call_literals(const Stripped& s, const std::string& fn) {
     // The stripper replaces each literal with a one-space placeholder at
     // `col`, so "the first argument is a literal" means: the first literal
     // on the line at/after the open paren with only whitespace before it.
@@ -283,22 +289,7 @@ std::vector<StringLit> call_literals(const Stripped& s, const std::string& fn,
         std::size_t from = 0;
         while (contains_call(line, fn, &at, from)) {
             from = at + fn.size();
-            if (prefix_chars != nullptr) {
-                if (at == 0 ||
-                    std::string(prefix_chars).find(line[at - 1]) ==
-                        std::string::npos) {
-                    continue;
-                }
-            }
-            if (anywhere) {
-                for (const StringLit& lit : s.strings) {
-                    if (lit.line == i && lit.col > at) {
-                        out.push_back(lit);
-                        break;
-                    }
-                }
-                continue;
-            }
+            if (at == 0 || line[at - 1] != '.') continue;
             std::size_t j = at + fn.size();
             while (j < line.size() &&
                    std::isspace(static_cast<unsigned char>(line[j])) != 0)
@@ -321,54 +312,6 @@ std::vector<StringLit> call_literals(const Stripped& s, const std::string& fn,
                     out.push_back(*lit);
                 }
             }
-        }
-    }
-    return out;
-}
-
-/// String literals on lines containing `context` (plain substring) and a
-/// `return` token — the shape of the name<->enum translation functions.
-std::vector<StringLit> context_literals(const Stripped& s,
-                                        const std::string& context) {
-    std::vector<StringLit> out;
-    for (std::size_t i = 0; i < s.code.size(); ++i) {
-        if (s.code[i].find(context) == std::string::npos) continue;
-        if (!contains_token(s.code[i], "return")) continue;
-        for (const StringLit& lit : s.strings) {
-            if (lit.line == i) out.push_back(lit);
-        }
-    }
-    return out;
-}
-
-/// Governor state-name array declarations (`<tok>[...] = { "..." ... };`).
-std::vector<TableDecl> state_table_decls(
-    const Stripped& s, const std::vector<std::string>& tokens) {
-    std::vector<TableDecl> out;
-    for (std::size_t i = 0; i < s.code.size(); ++i) {
-        const std::string& line = s.code[i];
-        for (const std::string& tok : tokens) {
-            std::size_t pos = line.find(tok);
-            if (pos == std::string::npos) continue;
-            std::size_t j = pos + tok.size();
-            if (j >= line.size() || line[j] != '[') continue;
-            const std::size_t close = line.find(']', j);
-            if (close == std::string::npos) continue;
-            j = close + 1;
-            while (j < line.size() &&
-                   std::isspace(static_cast<unsigned char>(line[j])) != 0)
-                ++j;
-            if (j >= line.size() || line[j] != '=') continue;
-            std::size_t end = i;
-            while (end < s.code.size() &&
-                   s.code[end].find(';') == std::string::npos)
-                ++end;
-            TableDecl t;
-            t.line = i;
-            for (const StringLit& lit : s.strings) {
-                if (lit.line >= i && lit.line <= end) t.entries.push_back(lit);
-            }
-            out.push_back(t);
         }
     }
     return out;
@@ -400,17 +343,11 @@ struct GateStep {
     std::vector<std::pair<std::string, std::size_t>> mappings;
 };
 
-/// SLO specs (`--slo name,signal,window,target`) with their lines.
-struct CiFacts {
-    std::vector<GateStep> steps;
-    std::vector<std::pair<std::string, std::size_t>> slo_signals;
-};
-
-CiFacts parse_ci(const TextFile& ci) {
-    CiFacts out;
+std::vector<GateStep> parse_ci(const TextFile& ci) {
+    std::vector<GateStep> out;
     GateStep cur;
     auto flush = [&]() {
-        if (cur.is_perf_gate) out.steps.push_back(cur);
+        if (cur.is_perf_gate) out.push_back(cur);
         cur = GateStep{};
     };
     for (std::size_t i = 0; i < ci.lines.size(); ++i) {
@@ -425,19 +362,6 @@ CiFacts parse_ci(const TextFile& ci) {
             if (tok.rfind("--key=", 0) == 0) {
                 cur.key = tok.substr(6);
                 cur.key_line = i;
-            }
-            if (tok.rfind("--slo", 0) == 0) {
-                std::string spec;
-                if (tok.size() > 6 && tok[5] == '=') {
-                    spec = tok.substr(6);
-                } else if (ss >> spec) {
-                }
-                // name,signal,window,target -> field 1
-                std::vector<std::string> fields;
-                std::stringstream fs(spec);
-                std::string f;
-                while (std::getline(fs, f, ',')) fields.push_back(f);
-                if (fields.size() >= 2) out.slo_signals.push_back({fields[1], i});
             }
             // `<name>=<...>.json` mapping; flags (--out=..., --baseline=...)
             // start with '-'.
@@ -516,7 +440,6 @@ public:
         if (!resolve_registry()) return;
         check_lanes();
         check_wire_tags();
-        check_names();
         check_gates();
     }
 
@@ -536,24 +459,16 @@ private:
         out_.push_back({path, line_idx + 1, rule, message, Severity::kError});
     }
 
-    std::set<std::string> table_names() const {
-        return {ccfg_.session_metric_table,  ccfg_.engine_metric_table,
-                ccfg_.engine_summary_table,  ccfg_.telemetry_series_table,
-                ccfg_.signal_table,          ccfg_.slo_health_table,
-                ccfg_.governor_state_table,  ccfg_.trace_event_table,
-                ccfg_.trace_actor_table,     ccfg_.gate_key_table};
-    }
-
     /// Locates (or side-loads) the registry and mines it.  Also flags
-    /// registry-style declarations anywhere else (C1/C2/C3).
+    /// registry-style declarations anywhere else (C1/C2).
     bool resolve_registry() {
-        const std::set<std::string> tables = table_names();
+        const std::string& table = ccfg_.gate_key_table;
         for (const FileScan& f : scans_) {
             if (!f.read_ok || f.fully_allowlisted ||
                 f.path == ccfg_.registry_path) {
                 continue;
             }
-            const RegistryFacts facts = extract_registry(f.s, tables);
+            const RegistryFacts facts = extract_registry(f.s, table);
             for (const NamedValue& nv : facts.lanes) {
                 emit("C1", f.path, nv.line,
                      "RNG lane constant '" + nv.name +
@@ -566,15 +481,9 @@ private:
                          "' declared outside the contract registry (" +
                          ccfg_.registry_path + ")");
             }
-            for (const auto& [name, decl] : facts.tables) {
-                emit("C3", f.path, decl.line,
-                     "registry name table '" + name +
-                         "' declared outside the contract registry (" +
-                         ccfg_.registry_path + ")");
-            }
         }
         if (const FileScan* f = find(ccfg_.registry_path)) {
-            registry_ = extract_registry(f->s, tables);
+            registry_ = extract_registry(f->s, table);
             return true;
         }
         // Partial scans (a subtree that excludes src/sim) still check
@@ -585,25 +494,13 @@ private:
             std::ostringstream buf;
             buf << in.rdbuf();
             side_loaded_ = internal::strip(buf.str());
-            registry_ = extract_registry(side_loaded_, tables);
+            registry_ = extract_registry(side_loaded_, table);
             return true;
         }
         emit("C5", ccfg_.registry_path, 0,
-             "contract registry header not found: every lane, wire tag, and "
-             "contract name table must be declared there");
+             "contract registry header not found: every lane, wire tag and "
+             "gate key must be declared there");
         return false;
-    }
-
-    bool has_table(const std::string& name) const {
-        return registry_.tables.count(name) != 0;
-    }
-
-    std::set<std::string> table_set(const std::string& name) const {
-        std::set<std::string> out;
-        const auto it = registry_.tables.find(name);
-        if (it == registry_.tables.end()) return out;
-        for (const StringLit& lit : it->second.entries) out.insert(lit.text);
-        return out;
     }
 
     /// Scanned file coverage under a prefix set — gates the C5 deadness
@@ -638,6 +535,12 @@ private:
         std::map<std::string, LaneInfo> lanes;  // name -> info
         std::map<std::string, std::map<std::uint64_t, std::string>> taken;
         for (const NamedValue& nv : registry_.lanes) {
+            if (!nv.fits) {
+                emit("C1", ccfg_.registry_path, nv.line,
+                     "lane constant '" + nv.name + "' = " + nv.literal +
+                         " does not fit in 64 bits");
+                continue;
+            }
             std::string family;
             parse_lane_name(nv.name, &family);
             const std::size_t lane_pos = nv.name.find("Lane");
@@ -681,9 +584,9 @@ private:
             for (const SplitSite& site : split_sites(f.s)) {
                 if (!site.name.empty()) used.insert(site.name);
                 if (!in_scope) continue;
-                if (site.is_literal) {
+                if (!site.literal.empty()) {
                     emit("C1", f.path, site.line,
-                         "magic RNG split lane " + std::to_string(site.value) +
+                         "magic RNG split lane " + site.literal +
                              ": use a named k<Family>Lane<Name> constant "
                              "from " + ccfg_.registry_path);
                     continue;
@@ -727,6 +630,12 @@ private:
         std::map<std::string, NamedValue> tags;
         std::map<std::uint64_t, std::string> values;
         for (const NamedValue& nv : registry_.tags) {
+            if (!nv.fits) {
+                emit("C2", ccfg_.registry_path, nv.line,
+                     "wire tag constant '" + nv.name + "' = " + nv.literal +
+                         " does not fit in 64 bits");
+                continue;
+            }
             const auto prev = values.find(nv.value);
             if (prev != values.end()) {
                 emit("C2", ccfg_.registry_path, nv.line,
@@ -743,9 +652,9 @@ private:
         if (header != nullptr) {
             for (const WireEnumEntry& e :
                  wire_enum_entries(header->s, ccfg_.wire_enum)) {
-                if (e.is_literal) {
+                if (!e.literal.empty()) {
                     emit("C2", ccfg_.codec_header, e.line,
-                         "magic wire tag " + std::to_string(e.value) +
+                         "magic wire tag " + e.literal +
                              " for enumerator '" + e.enumerator +
                              "': take the value from a kWireTag<Name> "
                              "constant in " + ccfg_.registry_path);
@@ -811,252 +720,27 @@ private:
         }
     }
 
-    // ---- C3 ----------------------------------------------------------------
-
-    void check_names() {
-        const std::set<std::string> session = table_set(ccfg_.session_metric_table);
-        const std::set<std::string> engine = table_set(ccfg_.engine_metric_table);
-        const std::set<std::string> summary = table_set(ccfg_.engine_summary_table);
-        const std::set<std::string> series = table_set(ccfg_.telemetry_series_table);
-        const std::set<std::string> signals = table_set(ccfg_.signal_table);
-        const std::set<std::string> health = table_set(ccfg_.slo_health_table);
-
-        // Producers: every registered metric name literal must be in a
-        // metric table.
-        std::set<std::string> produced;
-        const bool metrics_tabled = has_table(ccfg_.session_metric_table) ||
-                                    has_table(ccfg_.engine_metric_table);
-        for (const FileScan& f : scans_) {
-            if (!f.read_ok || f.fully_allowlisted ||
-                f.path == ccfg_.registry_path ||
-                !path_has_prefix(f.path, ccfg_.metric_producer_paths)) {
-                continue;
-            }
-            std::vector<StringLit> names = call_literals(f.s, "add_counter", ".>");
-            const std::vector<StringLit> hists =
-                call_literals(f.s, "histogram", ".>");
-            names.insert(names.end(), hists.begin(), hists.end());
-            for (const StringLit& lit : names) {
-                produced.insert(lit.text);
-                if (metrics_tabled && session.count(lit.text) == 0 &&
-                    engine.count(lit.text) == 0) {
-                    emit("C3", f.path, lit.line,
-                         "metric name \"" + lit.text +
-                             "\" is not in the registry metric tables (" +
-                             ccfg_.session_metric_table + " / " +
-                             ccfg_.engine_metric_table + " in " +
-                             ccfg_.registry_path + ")");
-                }
-            }
-        }
-        if (metrics_tabled && scanned_under(ccfg_.metric_producer_paths)) {
-            deadness(ccfg_.session_metric_table, produced,
-                     "no producer registers it");
-            deadness(ccfg_.engine_metric_table, produced,
-                     "no producer registers it");
-        }
-
-        // Writers: emitted JSON keys come from their key tables.
-        writer_keys(ccfg_.engine_summary_writer, ccfg_.engine_summary_table,
-                    summary);
-        writer_keys(ccfg_.telemetry_writer, ccfg_.telemetry_series_table,
-                    series);
-
-        // Report tool: consumed keys are a subset of the series keys.
-        if (has_table(ccfg_.telemetry_series_table)) {
-            for (const FileScan& f : scans_) {
-                if (!f.read_ok || f.fully_allowlisted ||
-                    !path_has_prefix(f.path, {ccfg_.report_tool_prefix})) {
-                    continue;
-                }
-                for (const StringLit& lit : call_literals(f.s, "at", ".")) {
-                    if (series.count(lit.text) == 0) {
-                        emit("C3", f.path, lit.line,
-                             "report tool consumes series key \"" + lit.text +
-                                 "\" that is not in " +
-                                 ccfg_.telemetry_series_table +
-                                 ": the telemetry writer never emits it");
-                    }
-                }
-            }
-        }
-
-        // SLO signal and health names: exact set equality with the tables.
-        equality_check(ccfg_.slo_impl, "SloSignal::k", ccfg_.signal_table,
-                       signals, "SLO signal");
-        equality_check(ccfg_.slo_impl, "SloHealth::k", ccfg_.slo_health_table,
-                       health, "SLO health state");
-
-        // Trace event / actor labels.
-        equality_check(ccfg_.trace_impl, "EventType::k",
-                       ccfg_.trace_event_table,
-                       table_set(ccfg_.trace_event_table), "trace event");
-        equality_check(ccfg_.trace_impl, "Actor::k", ccfg_.trace_actor_table,
-                       table_set(ccfg_.trace_actor_table), "trace actor");
-
-        // Prometheus exposition: counters strip _total into series keys,
-        // histograms are named exactly by the signals.
-        if (const FileScan* w = find(ccfg_.telemetry_writer)) {
-            if (has_table(ccfg_.telemetry_series_table)) {
-                for (const StringLit& lit :
-                     call_literals(w->s, "prom_counter", nullptr, true)) {
-                    std::string base = lit.text;
-                    const std::string suffix = "_total";
-                    if (base.size() > suffix.size() &&
-                        base.rfind(suffix) == base.size() - suffix.size()) {
-                        base = base.substr(0, base.size() - suffix.size());
-                    }
-                    if (series.count(base) == 0) {
-                        emit("C3", w->path, lit.line,
-                             "prometheus counter \"" + lit.text +
-                                 "\" does not correspond to a registered "
-                                 "series key");
-                    }
-                }
-            }
-            if (has_table(ccfg_.signal_table)) {
-                std::set<std::string> exposed;
-                for (const StringLit& lit :
-                     call_literals(w->s, "prom_histogram", nullptr, true)) {
-                    exposed.insert(lit.text);
-                    if (signals.count(lit.text) == 0) {
-                        emit("C3", w->path, lit.line,
-                             "prometheus histogram \"" + lit.text +
-                                 "\" is not a registered telemetry signal "
-                                 "name (" + ccfg_.signal_table + ")");
-                    }
-                }
-                for (const StringLit& entry :
-                     registry_.tables.at(ccfg_.signal_table).entries) {
-                    if (exposed.count(entry.text) == 0) {
-                        emit("C3", ccfg_.registry_path, entry.line,
-                             "telemetry signal \"" + entry.text +
-                                 "\" has no prometheus histogram exposition "
-                                 "in " + ccfg_.telemetry_writer);
-                    }
-                }
-            }
-        }
-
-        // Governor state-name arrays, wherever declared.
-        if (has_table(ccfg_.governor_state_table)) {
-            std::vector<std::string> states;
-            for (const StringLit& entry :
-                 registry_.tables.at(ccfg_.governor_state_table).entries) {
-                states.push_back(entry.text);
-            }
-            for (const FileScan& f : scans_) {
-                if (!f.read_ok || f.fully_allowlisted ||
-                    f.path == ccfg_.registry_path) {
-                    continue;
-                }
-                for (const TableDecl& decl :
-                     state_table_decls(f.s, ccfg_.state_table_tokens)) {
-                    std::vector<std::string> got;
-                    for (const StringLit& lit : decl.entries)
-                        got.push_back(lit.text);
-                    if (got != states) {
-                        emit("C3", f.path, decl.line,
-                             "governor state-name table drifted from " +
-                                 ccfg_.governor_state_table + " in " +
-                                 ccfg_.registry_path +
-                                 " (names and order must match)");
-                    }
-                }
-            }
-        }
-    }
-
-    /// Table entries never seen in `seen` are dead (C5).
-    void deadness(const std::string& table, const std::set<std::string>& seen,
-                  const std::string& why) {
-        const auto it = registry_.tables.find(table);
-        if (it == registry_.tables.end()) return;
-        for (const StringLit& entry : it->second.entries) {
-            if (seen.count(entry.text) == 0) {
-                emit("C5", ccfg_.registry_path, entry.line,
-                     "dead registry entry \"" + entry.text + "\" in " +
-                         table + ": " + why);
-            }
-        }
-    }
-
-    /// Writer file: every emitted `.key("...")` must be in its table (C3),
-    /// and every table entry must be emitted (C5).
-    void writer_keys(const std::string& writer, const std::string& table,
-                     const std::set<std::string>& keys) {
-        const FileScan* w = find(writer);
-        if (w == nullptr || !has_table(table)) return;
-        std::set<std::string> emitted;
-        for (const StringLit& lit : call_literals(w->s, "key", ".")) {
-            emitted.insert(lit.text);
-            if (keys.count(lit.text) == 0) {
-                emit("C3", w->path, lit.line,
-                     "JSON key \"" + lit.text + "\" emitted by " + writer +
-                         " is not in " + table + " (" + ccfg_.registry_path +
-                         ")");
-            }
-        }
-        deadness(table, emitted, writer + " never emits it");
-    }
-
-    /// Name-translation file: the literal set on `context` lines must
-    /// equal the registry table exactly.
-    void equality_check(const std::string& impl, const std::string& context,
-                        const std::string& table,
-                        const std::set<std::string>& expected,
-                        const std::string& what) {
-        const FileScan* f = find(impl);
-        if (f == nullptr || !has_table(table)) return;
-        std::set<std::string> got;
-        for (const StringLit& lit : context_literals(f->s, context)) {
-            got.insert(lit.text);
-            if (expected.count(lit.text) == 0) {
-                emit("C3", f->path, lit.line,
-                     what + " name \"" + lit.text + "\" is not in " + table +
-                         " (" + ccfg_.registry_path + ")");
-            }
-        }
-        if (got.empty()) return;  // context never appears: nothing to hold
-        for (const StringLit& entry : registry_.tables.at(table).entries) {
-            if (got.count(entry.text) == 0) {
-                emit("C3", ccfg_.registry_path, entry.line,
-                     what + " name \"" + entry.text + "\" in " + table +
-                         " is not handled by " + impl);
-            }
-        }
-    }
-
     // ---- C4 ----------------------------------------------------------------
 
     void check_gates() {
-        const std::set<std::string> gate_keys = table_set(ccfg_.gate_key_table);
-        if (!has_table(ccfg_.gate_key_table)) return;
+        if (!registry_.gate_keys) return;
+        std::set<std::string> gate_keys;
+        for (const StringLit& lit : *registry_.gate_keys) {
+            gate_keys.insert(lit.text);
+        }
 
         const TextFile ci = read_text(root_, ccfg_.ci_workflow);
         const TextFile base = read_text(root_, ccfg_.baselines);
-        const CiFacts facts = ci.ok ? parse_ci(ci) : CiFacts{};
+        const std::vector<GateStep> steps =
+            ci.ok ? parse_ci(ci) : std::vector<GateStep>{};
         std::vector<std::pair<std::string, std::size_t>> base_keys;
         if (base.ok) base_keys = parse_json_keys(base);
         std::set<std::string> base_set;
         for (const auto& [k, line] : base_keys) base_set.insert(k);
 
-        // CI --slo specs must name a registered signal (C3, but the spec
-        // lives on the gate surface so it is parsed here).
-        if (ci.ok && has_table(ccfg_.signal_table)) {
-            const std::set<std::string> signals = table_set(ccfg_.signal_table);
-            for (const auto& [signal, line] : facts.slo_signals) {
-                if (signals.count(signal) == 0) {
-                    emit("C3", ccfg_.ci_workflow, line,
-                         "CI --slo objective names signal '" + signal +
-                             "', which is not in " + ccfg_.signal_table);
-                }
-            }
-        }
-
         std::set<std::string> consumed;
         std::set<std::string> gated_names;
-        for (const GateStep& step : facts.steps) {
+        for (const GateStep& step : steps) {
             const std::string key =
                 step.key.empty() ? ccfg_.default_gate_key : step.key;
             if (!step.key.empty() && gate_keys.count(step.key) == 0) {
@@ -1090,8 +774,7 @@ private:
                     continue;
                 }
                 bool emits = false;
-                for (const StringLit& lit :
-                     call_literals(bench->s, "key", ".")) {
+                for (const StringLit& lit : call_literals(bench->s, "key")) {
                     if (lit.text == key) emits = true;
                 }
                 if (!emits) {
@@ -1128,8 +811,15 @@ private:
         }
 
         if (ci.ok || perf_gate_scanned) {
-            deadness(ccfg_.gate_key_table, consumed,
-                     "no CI gate or perf_gate consumer references it");
+            for (const StringLit& entry : *registry_.gate_keys) {
+                if (consumed.count(entry.text) == 0) {
+                    emit("C5", ccfg_.registry_path, entry.line,
+                         "dead registry entry \"" + entry.text + "\" in " +
+                             ccfg_.gate_key_table +
+                             ": no CI gate or perf_gate consumer references "
+                             "it");
+                }
+            }
         }
         if (ci.ok && base.ok) {
             for (const auto& [k, line] : base_keys) {

@@ -1,10 +1,10 @@
-// Cross-TU contract rules C1-C5: a two-phase extract-then-check analyzer
-// over the whole tree.
+// Cross-TU contract rules C1, C2, C4 and C5: a two-phase
+// extract-then-check analyzer over the whole tree.
 //
-// Phase 1 (parallel): every C++ source is read, stripped, and mined for
+// Phase 1 (parallel): every C++ source is read, stripped and mined for
 // contract facts — `.split(<arg>)` call sites, WireType enumerators,
-// registry constant/table declarations, metric/JSON-key/trace/SLO name
-// literals at their producing and consuming call sites.
+// registry constant and gate-key table declarations, `.key("...")`
+// literals in the gated benches.
 //
 // Phase 2 (serial): the facts are checked against the contract registry
 // (src/sim/contracts.hpp) plus the external gate surfaces (the CI
@@ -18,18 +18,16 @@
 //       registry kWireTag<Name> constant (no magic tag bytes, no
 //       duplicate values); each tag has a canonical decode_<name> in the
 //       codec TU and appears in at least one fuzz-corpus harness.
-//   C3  Names: metric literals registered in src/ come from the registry
-//       tables; the engine summary and telemetry series writers emit only
-//       registered keys; the report tool consumes a subset of the series
-//       keys; SLO signal/health, governor state, trace event/actor and
-//       Prometheus exposition names match their tables; CI --slo specs
-//       name a registered signal.
 //   C4  Bench claim gates: every key CI's perf_gate steps consume
 //       (--key=... or the default) is registered, emitted by the gated
 //       bench, and frozen in bench/baselines.
 //   C5  Dead registry entries: lanes never split, tags never referenced,
-//       names never produced, gate keys never consumed, baseline keys
-//       never gated.
+//       gate keys never consumed, baseline keys never gated.
+//
+// There is no name rule: metric, trace, SLO and telemetry names are each
+// spelled once where they are emitted, and golden fingerprints pin them.
+// C3 is a retired id and is not reused, so an old reference to it cannot
+// silently mean another rule.
 //
 // Suppressions (`// espread-lint: allow(C1) reason`) and the allowlist
 // work exactly as for the token rules; `* <glob>` allowlist entries also
@@ -80,16 +78,6 @@ struct ContractConfig {
         "tests/fuzz_fec.cpp",
     };
 
-    /// Name surfaces (C3).
-    std::vector<std::string> metric_producer_paths = {"src/"};
-    std::string engine_summary_writer = "src/engine/engine.cpp";
-    std::string telemetry_writer = "src/obs/telemetry/snapshot.cpp";
-    std::string slo_impl = "src/obs/telemetry/slo.cpp";
-    std::string trace_impl = "src/obs/trace.cpp";
-    std::string report_tool_prefix = "tools/espread_report/";
-    /// Identifiers that declare a governor state-name table.
-    std::vector<std::string> state_table_tokens = {"kStateNames", "kStates"};
-
     /// Bench claim-gate surfaces (C4).  External (non-C++) files are read
     /// directly from the scan root; a check skips when its file is absent.
     std::string ci_workflow = ".github/workflows/ci.yml";
@@ -97,17 +85,7 @@ struct ContractConfig {
     std::string perf_gate_prefix = "tools/perf_gate/";
     std::string bench_prefix = "bench/";
     std::string default_gate_key = "windows_per_second";
-
-    /// Registry table variable names.
-    std::string session_metric_table = "kSessionMetricNames";
-    std::string engine_metric_table = "kEngineMetricNames";
-    std::string engine_summary_table = "kEngineSummaryKeys";
-    std::string telemetry_series_table = "kTelemetrySeriesKeys";
-    std::string signal_table = "kTelemetrySignalNames";
-    std::string slo_health_table = "kSloHealthNames";
-    std::string governor_state_table = "kGovernorStateNames";
-    std::string trace_event_table = "kTraceEventNames";
-    std::string trace_actor_table = "kTraceActorNames";
+    /// The registry table listing the gate keys.
     std::string gate_key_table = "kBenchGateKeys";
 };
 

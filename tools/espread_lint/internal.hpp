@@ -1,7 +1,7 @@
 // Shared scanner internals: the comment/string-aware line stripper, the
 // suppression parser and the diagnostic emitter, used by both the token
 // rules (lint.cpp, D1-D5) and the cross-TU contract rules (contracts.cpp,
-// C1-C5) so every file is read and stripped exactly once per scan.
+// C1, C2, C4, C5) so every file is read and stripped exactly once per scan.
 #pragma once
 
 #include <cstddef>

@@ -602,9 +602,6 @@ const std::vector<RuleInfo>& rules() {
         {"C2", Severity::kError,
          "wire tag without single registry declaration, canonical decode, "
          "or fuzz-corpus coverage"},
-        {"C3", Severity::kError,
-         "metric/trace/SLO name literal not from the contract registry, or "
-         "producer/consumer name sets drifted"},
         {"C4", Severity::kError,
          "bench claim-gate key not emitted by the gated bench or missing "
          "from the baselines"},

@@ -25,9 +25,9 @@
 //   D5  ownership / include hygiene in library targets (src/): no raw
 //       `new`/`delete` expressions, no `<iostream>`
 //
-// The cross-TU contract rules C1-C5 (RNG lanes, wire tags, metric/trace/SLO
-// names, bench claim-gate keys, dead registry entries) live in
-// contracts.hpp; both rule groups run under the same scan_tree pass.
+// The cross-TU contract rules C1, C2, C4 and C5 (RNG lanes, wire tags,
+// bench claim-gate keys, dead registry entries) live in contracts.hpp;
+// both rule groups run under the same scan_tree pass.
 //
 // Suppression syntax (line comments only):
 //   some_code();  // espread-lint: allow(D1) reason the exception is sound
@@ -64,7 +64,7 @@ struct RuleInfo {
 /// All rules the scanner knows, D0 first.
 const std::vector<RuleInfo>& rules();
 
-/// True if `id` names a known rule ("D0".."D5", "C1".."C5").
+/// True if `id` names a known rule ("D0".."D5", "C1", "C2", "C4", "C5").
 bool known_rule(const std::string& id);
 
 /// One allowlist entry: files matching `glob` are exempt from rule `rule`

@@ -17,9 +17,13 @@ using obs::telemetry::QuantileHistogram;
 using obs::telemetry::SloEvaluator;
 using obs::telemetry::SloHealth;
 using obs::telemetry::SloObjective;
+using obs::telemetry::SloSignal;
 using obs::telemetry::SloStatus;
 using obs::telemetry::SloTransition;
 using obs::telemetry::TelemetryCounters;
+using obs::telemetry::kSloSignals;
+using obs::telemetry::signal_histograms;
+using obs::telemetry::slo_signal_name;
 
 bool set_error(std::string* error, const std::string& what) {
     if (error != nullptr) *error = what;
@@ -113,7 +117,7 @@ void append_slo_line(std::string& out, const SloObjective& o,
     out += "  ";
     out += health_tag(st.health);
     out += " " + pad_right(o.name, 16) + " " +
-           obs::telemetry::slo_signal_name(o.signal) + " p" +
+           slo_signal_name(o.signal) + " p" +
            fmt_compact(o.quantile) + " <= " + fmt_u64(o.threshold) +
            "  burn fast " + fmt_double(st.fast_burn) + "/" +
            fmt_compact(o.fast_burn) + " (" + fmt_u64(o.fast_window) +
@@ -150,17 +154,21 @@ bool load_series(const std::string& json_text, LoadedSeries& out,
         s.epoch = sv.at("epoch").as_u64();
         s.step = sv.at("step").as_u64();
         if (!load_counters(sv.at("totals"), s.totals, error) ||
-            !load_counters(sv.at("delta"), s.delta, error) ||
-            !load_histogram(sv.at("clf"), s.clf, error) ||
-            !load_histogram(sv.at("loss_run"), s.loss_run, error) ||
-            !load_histogram(sv.at("bound"), s.bound, error) ||
-            !load_histogram(sv.at("governor_dwell"), s.governor_dwell, error) ||
-            !load_histogram(sv.at("clf_delta"), s.clf_delta, error) ||
-            !load_histogram(sv.at("loss_run_delta"), s.loss_run_delta, error) ||
-            !load_histogram(sv.at("bound_delta"), s.bound_delta, error) ||
-            !load_histogram(sv.at("governor_dwell_delta"),
-                            s.governor_dwell_delta, error)) {
+            !load_counters(sv.at("delta"), s.delta, error)) {
             return false;
+        }
+        for (const SloSignal sig : kSloSignals) {
+            if (!load_histogram(sv.at(slo_signal_name(sig)),
+                                s.*signal_histograms(sig).total, error)) {
+                return false;
+            }
+        }
+        for (const SloSignal sig : kSloSignals) {
+            if (!load_histogram(
+                    sv.at(std::string(slo_signal_name(sig)) + "_delta"),
+                    s.*signal_histograms(sig).delta, error)) {
+                return false;
+            }
         }
         out.snapshots.push_back(std::move(s));
     }
@@ -170,7 +178,7 @@ bool load_series(const std::string& json_text, LoadedSeries& out,
 SloObjective default_objective() {
     SloObjective o;
     o.name = "clf_tail";
-    o.signal = obs::telemetry::SloSignal::kClf;
+    o.signal = SloSignal::kClf;
     o.threshold = 2;
     o.quantile = 0.99;
     return o;
